@@ -16,6 +16,38 @@ let complain seed fmt =
       Format.printf "FAIL (seed %d): %s@." seed msg)
     fmt
 
+(* The service's cached segment-parallel path: the second run of a set
+   on one plan cache is served from relocated block logs, and must still
+   report what the sequential engine reports — digest, rounds, cycles,
+   control messages and the whole power record, per-switch arrays
+   included.  The set is checked alone and as two side-by-side copies:
+   a rerun of the set alone relocates each block onto its own
+   placement, while the second copy's blocks are served from the first
+   copy's plans at a translated base. *)
+let check_cached_segmented seed set =
+  let module S = Cst_service.Service in
+  List.iter
+    (fun set ->
+      let job engine = S.job ~engine ~id:0 ~algo:"csa" set in
+      let pc = Cst_service.Plan_cache.create ~domains:1 () in
+      let segmented () = S.run_job ~cache:(pc, 0) (job S.Segmented) in
+      ignore (segmented ());
+      match (S.run_job (job S.Message_passing), segmented ()) with
+      | Ok e, Ok h ->
+          if h.block_hits <> h.blocks then
+            complain seed "cached segmented rerun missed %d of %d blocks"
+              (h.blocks - h.block_hits) h.blocks;
+          if
+            h.digest <> e.digest || h.rounds <> e.rounds
+            || h.cycles <> e.cycles
+            || h.control_messages <> e.control_messages
+            || h.power <> e.power
+          then
+            complain seed "cached segmented outcome diverges from the engine"
+      | Error err, _ | _, Error err ->
+          complain seed "cached segmented check failed: %a" S.pp_error err)
+    [ set; Cst_workloads.Gen_wn.tile ~copies:2 set ]
+
 let check_well_nested seed rng =
   let n = 1 lsl (2 + Cst_util.Prng.int rng 7) in
   let density = 0.05 +. Cst_util.Prng.float rng 0.95 in
@@ -98,7 +130,8 @@ let check_well_nested seed rng =
     |> List.sort compare
   in
   if Padr.Schedule.all_deliveries left_native <> reflect then
-    complain seed "native left scheduler diverges from mirroring"
+    complain seed "native left scheduler diverges from mirroring";
+  check_cached_segmented seed set
 
 let check_arbitrary seed rng =
   let n = 1 lsl (2 + Cst_util.Prng.int rng 6) in
@@ -134,6 +167,7 @@ let check_codec seed rng =
   let set = Cst_workloads.Gen_wn.uniform rng ~n ~density in
   let topo = Cst.Topology.create ~leaves:n in
   (* raw event-log round trip *)
+  check_cached_segmented seed set;
   let log = Cst.Exec_log.create () in
   ignore (Padr.Engine.run_exn ~log topo set);
   (match Cst.Exec_log.Codec.decode (Cst.Exec_log.Codec.encode log) with
@@ -161,8 +195,8 @@ let check_codec seed rng =
             || decoded.producer <> plan.producer
             || decoded.leaves <> plan.leaves
           then complain seed "plan codec round trip changed header fields";
-          let r = Padr.Plan.replay ~keep_configs:false decoded topo set in
-          if Cst.Exec_log.digest r.log <> Cst.Exec_log.digest log then
+          let relocated = Padr.Plan.relocate decoded topo set in
+          if Cst.Exec_log.digest relocated <> Cst.Exec_log.digest log then
             complain seed "decoded plan's replay diverges from a fresh run";
           (* corruption: flip one arena byte (the digest-covered tail) *)
           let events = Cst.Exec_log.length plan.log in

@@ -1,6 +1,9 @@
 type role = Source of int | Dest of int | Idle
 
-type t = { n : int; comms : Comm.t array; roles : role array }
+(* [roles] is filled at construction by the validating constructors and
+   on first read for sets adopted through [unsafe_of_sorted], whose
+   callers (block slices of a large set) mostly never ask for it. *)
+type t = { n : int; comms : Comm.t array; roles : role array option Atomic.t }
 
 type error =
   | Out_of_range of Comm.t
@@ -30,7 +33,9 @@ let build ~n comms =
           | Source _ | Dest _ -> err := Some (Shared_endpoint c.dst)
         end)
     comms;
-  match !err with Some e -> Error e | None -> Ok { n; comms; roles }
+  match !err with
+  | Some e -> Error e
+  | None -> Ok { n; comms; roles = Atomic.make (Some roles) }
 
 let create ~n comms =
   if n < 1 then invalid_arg "Comm_set.create: n must be positive";
@@ -41,14 +46,7 @@ let create_exn ~n comms =
   | Ok t -> t
   | Error e -> invalid_arg (Format.asprintf "Comm_set: %a" pp_error e)
 
-let unsafe_of_sorted ~n comms =
-  let roles = Array.make n Idle in
-  Array.iteri
-    (fun i (c : Comm.t) ->
-      roles.(c.src) <- Source i;
-      roles.(c.dst) <- Dest i)
-    comms;
-  { n; comms; roles }
+let unsafe_of_sorted ~n comms = { n; comms; roles = Atomic.make None }
 
 let empty ~n = create_exn ~n []
 
@@ -56,8 +54,22 @@ let n t = t.n
 let size t = Array.length t.comms
 let comms t = t.comms
 let mem t c = Array.exists (Comm.equal c) t.comms
-let roles t = t.roles
-let role_of t p = t.roles.(p)
+(* Two domains reading an unfilled table at once each build it and
+   publish an equal, complete array; either one is correct. *)
+let roles t =
+  match Atomic.get t.roles with
+  | Some r -> r
+  | None ->
+      let r = Array.make t.n Idle in
+      Array.iteri
+        (fun i (c : Comm.t) ->
+          r.(c.src) <- Source i;
+          r.(c.dst) <- Dest i)
+        t.comms;
+      Atomic.set t.roles (Some r);
+      r
+
+let role_of t p = (roles t).(p)
 
 let is_right_oriented t = Array.for_all Comm.is_right_oriented t.comms
 let is_left_oriented t = Array.for_all Comm.is_left_oriented t.comms

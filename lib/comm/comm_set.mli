@@ -27,7 +27,8 @@ val unsafe_of_sorted : n:int -> Comm.t array -> t
     and every PE in [[0, n)] is an endpoint of at most one member.
     Intended for slicing or translating an already validated set
     (e.g. {!Decompose.blocks}), where re-validation on a hot path would
-    repeat work the invariants already paid for. *)
+    repeat work the invariants already paid for.  O(1): the [n]-sized
+    {!roles} table is built on first read, not here. *)
 
 val empty : n:int -> t
 
@@ -42,7 +43,9 @@ val comms : t -> Comm.t array
 
 val mem : t -> Comm.t -> bool
 val roles : t -> role array
-(** Array of length [n]: role of each PE. *)
+(** Array of length [n]: role of each PE.  Do not mutate.  Built on
+    first read for sets from {!unsafe_of_sorted}; safe to call from
+    several domains at once. *)
 
 val role_of : t -> int -> role
 

@@ -54,9 +54,10 @@ val merge_blocks :
   Cst.Exec_log.t list ->
   Schedule.t * Engine.stats
 (** Merge already-rebased per-block logs (ascending block order, e.g.
-    from {!run_block} or a plan-cache replay) into [?log] (or a fresh
-    log), derive the schedule of the whole [set] from the merged range,
-    and rebuild the engine's closed-form hardware stats for [topo]:
+    from {!run_block} or {!Plan.relocate} of a cached plan) into [?log]
+    (or a fresh log), derive the schedule of the whole [set] from the
+    merged range — one derivation for all the blocks — and rebuild the
+    engine's closed-form hardware stats for [topo]:
     [cycles = 1 + levels + rounds*(levels+2)] and
     [2*(leaves-1)*(rounds+1)] control messages, where [rounds] is the
     maximum block round count — the modeled hardware still clocks every

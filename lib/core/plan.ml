@@ -70,7 +70,9 @@ type replayed = {
   control_messages : int;
 }
 
-let replay ?(keep_configs = true) t topo set =
+(* Every check a replay makes lives here, so [relocate] and [replay]
+   accept and reject exactly the same inputs. *)
+let relocate t topo set =
   let leaves = Cst.Topology.leaves topo in
   let placed = Cst.Canon.place set in
   if not (Cst.Canon.equal placed.canon t.canon) then
@@ -93,13 +95,15 @@ let replay ?(keep_configs = true) t topo set =
     invalid_arg "Padr.Plan.replay: binary plan on a non-binary topology"
   else if not (Cst.Canon.compatible t.canon ~leaves ~base:placed.base) then
     invalid_arg "Padr.Plan.replay: placement incompatible with the topology";
-  let log =
-    if leaves = t.leaves && placed.base = t.base then t.log
-    else
-      Cst.Exec_log.rebase t.log ~src_leaves:t.leaves ~src_base:t.base
-        ~dst_leaves:leaves ~dst_base:placed.base
-        ~align:(Cst.Canon.align t.canon)
-  in
+  if leaves = t.leaves && placed.base = t.base then t.log
+  else
+    Cst.Exec_log.rebase t.log ~src_leaves:t.leaves ~src_base:t.base
+      ~dst_leaves:leaves ~dst_base:placed.base
+      ~align:(Cst.Canon.align t.canon)
+
+let replay ?(keep_configs = true) t topo set =
+  let log = relocate t topo set in
+  let leaves = Cst.Topology.leaves topo in
   let cycles =
     if leaves = t.leaves then t.cycles
     else

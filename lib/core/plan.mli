@@ -52,29 +52,39 @@ val compile :
 (** Schedules the set ([producer] defaults to [Engine], wrapping
     {!Engine.run}; [Spec] wraps {!Csa.run}) and freezes the run. *)
 
+val relocate : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> Cst.Exec_log.t
+(** The plan's log relocated onto [set]'s placement in [topo] —
+    digest-identical to a fresh run on the target set — without deriving
+    a schedule.  O(events) through {!Cst.Exec_log.rebase}; nothing
+    tree-sized is allocated.  When the placement and tree size are the
+    compiled ones the result aliases the plan's arena, so treat it as
+    read-only.
+
+    [set] must carry the plan's signature (checked; [Invalid_argument]
+    otherwise) and fit the topology.  Binary plans relocate freely: any
+    compatible placement on any binary tree size.  Non-binary plans
+    relocate only onto a topology of the {e identical} shape with the
+    set at the {e identical} placement — translation is not a
+    congruence once subtrees at one depth stop being isomorphic and
+    capacities are positional — and raise [Invalid_argument]
+    otherwise. *)
+
 type replayed = {
   schedule : Schedule.t;
-  log : Cst.Exec_log.t;
-      (** the relocated event log — digest-identical to a fresh run on
-          the target set; aliases the plan's arena when the placement
-          is unchanged, so treat it as read-only *)
+  log : Cst.Exec_log.t;  (** {!relocate}'s result *)
   cycles : int;
   control_messages : int;  (** re-modeled for the target tree size *)
 }
 
 val replay :
   ?keep_configs:bool -> t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
-(** Reconstructs the schedule of [set] on [topo] from the plan.  [set]
-    must carry the plan's signature (checked; [Invalid_argument]
-    otherwise) and fit the topology.  O(events + size·log leaves) — no
-    scheduling.
-
-    Binary plans relocate freely: any compatible placement on any
-    binary tree size, via {!Cst.Exec_log.rebase}.  Non-binary plans
-    replay only on a topology of the {e identical} shape with the set
-    at the {e identical} placement — translation is not a congruence
-    once subtrees at one depth stop being isomorphic and capacities are
-    positional — and raise [Invalid_argument] otherwise. *)
+(** {!relocate}, then the schedule of [set] on [topo] derived from the
+    relocated log ({!Schedule.of_log}) and the cycle and control-message
+    counts re-modeled for the target tree size — no scheduling.
+    Accepts and rejects exactly the inputs {!relocate} does, with the
+    same [Invalid_argument].  O(events + tree nodes): the relocation is
+    O(events), the schedule derivation adds the tree-sized power ledger
+    and width table. *)
 
 val bytes : t -> int
 (** Approximate heap footprint (event arena + signature + boxing);

@@ -63,7 +63,8 @@ val all_deliveries : t -> (int * int) list
 val deliveries_per_round : t -> int array
 
 val power_of_meter : Cst.Power_meter.t -> power
-(** Snapshot a live meter into the immutable summary. *)
+(** The meter's summary.  O(1): the per-switch arrays are the meter's
+    own, not copies. *)
 
 val zero_power : num_nodes:int -> power
 (** Neutral element of {!combine_power}. *)

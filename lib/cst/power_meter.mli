@@ -31,7 +31,8 @@ type t
 val of_log : ?from:int -> ?upto:int -> num_nodes:int -> Exec_log.t -> t
 (** Charge every [Connect] / [Disconnect] / [Write_config] event in the
     range to its switch.  [num_nodes] sizes the ledger: switches live
-    at nodes [1 .. num_nodes]. *)
+    at nodes [1 .. num_nodes].  The totals and per-switch maxima below
+    are kept during this one pass, so reading them is O(1). *)
 
 val connects : t -> node:int -> int
 val disconnects : t -> node:int -> int
@@ -53,8 +54,10 @@ val max_events_per_switch : t -> int
 (** Connects plus disconnects, maximised over switches. *)
 
 val per_switch_connects : t -> int array
-(** Copy indexed by node id (index 0 unused). *)
+(** Indexed by node id (index 0 unused).  The meter's own array, not a
+    copy — a meter is never updated after {!of_log}; do not mutate. *)
 
 val per_switch_writes : t -> int array
 val per_switch_disconnects : t -> int array
+
 val pp : Format.formatter -> t -> unit

@@ -131,14 +131,30 @@ let classify set =
   else Mixed_orientation
 
 (* Cacheable paths consult the plan cache before scheduling: on a hit
-   the frozen plan is replayed ({!Padr.Plan.replay}) instead of running
-   the scheduler, on a miss the run just performed is frozen into the
-   cache.  Only successful well-nested runs are cached — wave covers
-   (multi-wave logs have no single rebase block) and errors bypass the
-   cache entirely.  Congruence of the cache key guarantees byte-equal
-   outcomes: equal signatures mean the sets are aligned translates, so
-   the replayed digest, power totals and round counts equal a fresh
-   run's (property-tested in test/test_plan.ml and test_service.ml). *)
+   the frozen plan is replayed ({!Padr.Plan.replay}) — or, per block on
+   the segmented path, only its log relocated ({!Padr.Plan.relocate}) —
+   instead of running the scheduler, on a miss the run just performed is
+   frozen into the cache.  Only successful well-nested runs are cached
+   — wave covers (multi-wave logs have no single rebase block) and
+   errors bypass the cache entirely.  Congruence of the cache key
+   guarantees byte-equal outcomes: equal signatures mean the sets are
+   aligned translates, so the replayed digest, power totals and round
+   counts equal a fresh run's (property-tested in test/test_plan.ml and
+   test_service.ml). *)
+
+(* Topologies are immutable and a domain's consecutive jobs mostly share
+   one shape, so each domain keeps the last topology it built instead of
+   rebuilding the tree-sized tables for every job. *)
+let last_topology : Cst.Topology.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let topology_of_shape shape =
+  match Domain.DLS.get last_topology with
+  | Some t when Cst.Shape.equal (Cst.Topology.shape t) shape -> t
+  | _ ->
+      let t = Cst.Topology.of_shape shape in
+      Domain.DLS.set last_topology (Some t);
+      t
 
 let dispatch ?cache (job : job) =
   match Cst_baselines.Registry.find job.algo with
@@ -149,9 +165,10 @@ let dispatch ?cache (job : job) =
       if n > leaves then Error (Too_large { n; leaves })
       else
         let topo =
-          match job.shape with
-          | Some s -> Cst.Topology.of_shape s
-          | None -> Cst.Topology.create ~leaves
+          topology_of_shape
+            (match job.shape with
+            | Some s -> s
+            | None -> Cst.Shape.binary ~leaves)
         in
         let binary = Cst.Topology.is_binary topo in
         if (not binary) && not a.caps.shape_generic then
@@ -248,22 +265,24 @@ let dispatch ?cache (job : job) =
         | Segmented ->
             (* Segment-parallel engine path: decompose into independent
                top-level blocks, serve each block from the plan cache
-               when its signature is resident (a cached block replays
-               while its siblings schedule fresh), merge the per-block
-               logs and derive the whole-set schedule.  The digest and
-               every outcome field are identical to [Message_passing]'s
-               — only [blocks]/[block_hits] reveal the path taken.
-               Per-block plans are keyed exactly like whole-set engine
-               plans (same canon, full-tree [leaves]), so a whole-set
-               plan can serve a single-block job and vice versa. *)
+               when its signature is resident (a cached block's log is
+               relocated while its siblings schedule fresh), merge the
+               per-block logs and derive the whole-set schedule once.
+               The digest and every outcome field are identical to
+               [Message_passing]'s — only [blocks]/[block_hits] reveal
+               the path taken.  Per-block plans are keyed exactly like
+               whole-set engine plans (same canon, full-tree [leaves]),
+               so a whole-set plan can serve a single-block job and vice
+               versa. *)
             if not a.caps.engine_available then
               Error
                 (Unsupported { algo = a.name; what = "the message-passing engine" })
-            else if classify job.set <> Right_well_nested then
-              (* No block structure to exploit; identical error/bypass
-                 behaviour to the sequential engine path. *)
-              engine_fresh ~cache_status:Bypass ~freeze:None
             else (
+              (* [decompose] is the one validation on this path: it
+                 rejects crossing and mixed sets with the error the
+                 sequential engine reports (same size check, then the
+                 same [Well_nested.check]), so those outcomes are
+                 identical to [Message_passing]'s uncached bypass. *)
               match Padr.Par_engine.decompose topo job.set with
               | Error e -> Error (error_of_csa e)
               | Ok bs -> (
@@ -282,10 +301,7 @@ let dispatch ?cache (job : job) =
                         match Plan_cache.find pc ~worker key with
                         | Some plan ->
                             incr hits;
-                            Ok
-                              (Padr.Plan.replay ~keep_configs:false plan topo
-                                 b.set)
-                                .log
+                            Ok (Padr.Plan.relocate plan topo b.set)
                         | None -> (
                             match Padr.Par_engine.run_block topo b with
                             | Error e -> Error e

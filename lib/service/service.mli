@@ -149,15 +149,16 @@ type job_result = {
   cache : cache_status;
       (** which path served this job; excluded from
           {!outcome_to_string} (hit/miss patterns race across domain
-          counts).  For [Segmented] jobs: [Hit] when every block
-          replayed from the cache, [Miss] otherwise. *)
+          counts).  For [Segmented] jobs: [Hit] when every block was
+          served from the cache, [Miss] otherwise. *)
   blocks : int;
       (** [Segmented] jobs: number of independent top-level blocks the
           set decomposed into; 0 on every other path *)
   block_hits : int;
       (** [Segmented] jobs: how many of those blocks were served by
-          replaying a cached plan; excluded from {!outcome_to_string}
-          like [cache] *)
+          relocating a cached plan's log ({!Padr.Plan.relocate}) — the
+          job's schedule is derived once, from the merged log; excluded
+          from {!outcome_to_string} like [cache] *)
   detail : detail;
 }
 

@@ -64,6 +64,66 @@ let test_blocks_rejects_bad_input () =
   check_raises_invalid "crossing" (fun () ->
       D.blocks (set ~n:8 [ (0, 2); (1, 3) ]))
 
+(* --- block slices cost O(block), not O(n) ----------------------------- *)
+
+(* 32 width-4 onions side by side over 16384 PEs: one block each. *)
+let tiled_onions () =
+  Cst_workloads.Gen_wn.tile ~copies:32
+    (Cst_workloads.Gen_wn.onion ~n:512 ~width:4)
+
+(* Words [f] allocates on this domain; arrays this large skip the minor
+   heap, so both heaps count. *)
+let words_allocated f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_blocks_allocate_per_block () =
+  let s = tiled_onions () in
+  let bs, words = words_allocated (fun () -> D.blocks ~check:false s) in
+  check_int "32 blocks" 32 (List.length bs);
+  check_true
+    (Printf.sprintf "%.0f words for 32 slices of a 16384-PE set" words)
+    (words < 16384.)
+
+(* A slice's role table, built on first read, is the one the validating
+   constructor builds — also when two domains make that first read at
+   once. *)
+let test_block_roles_on_first_read () =
+  let s = tiled_onions () in
+  let expected (b : D.block) =
+    Cst_comm.Comm_set.roles
+      (Cst_comm.Comm_set.create_exn ~n:(Cst_comm.Comm_set.n b.set)
+         (Array.to_list (Cst_comm.Comm_set.comms b.set)))
+  in
+  List.iter
+    (fun (b : D.block) ->
+      check_true "roles = create_exn's roles"
+        (Cst_comm.Comm_set.roles b.set = expected b))
+    (D.blocks s);
+  List.iteri
+    (fun i (b : D.block) ->
+      if i < 4 then begin
+        let arrived = Atomic.make 0 in
+        let read () =
+          Atomic.incr arrived;
+          while Atomic.get arrived < 2 do
+            Domain.cpu_relax ()
+          done;
+          Cst_comm.Comm_set.roles b.set
+        in
+        let other = Domain.spawn read in
+        let mine = read () in
+        let theirs = Domain.join other in
+        check_true "racing first reads agree with create_exn"
+          (mine = expected b && theirs = expected b
+          && Cst_comm.Comm_set.roles b.set = expected b)
+      end)
+    (D.blocks s)
+
 (* --- Decompose.blocks properties ------------------------------------- *)
 
 let blocks_partition params =
@@ -238,6 +298,10 @@ let suite =
     case "blocks: localize shifts to block coordinates" test_blocks_localize;
     case "blocks: rejects non-right-oriented / crossing"
       test_blocks_rejects_bad_input;
+    case "blocks: slices allocate per block, not per PE"
+      test_blocks_allocate_per_block;
+    case "blocks: slice roles built on first read, domain-safe"
+      test_block_roles_on_first_read;
     prop "blocks partition into disjoint aligned intervals" blocks_partition;
     prop "par run == sequential engine (domains 1/2/4/8)" ~count:200
       par_equals_sequential;

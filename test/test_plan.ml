@@ -376,6 +376,82 @@ let test_replay_rejects_mismatch () =
   check_raises_invalid "misaligned translate" (fun () ->
       Padr.Plan.replay plan topo (set ~n:16 [ (2, 3) ]))
 
+(* --- log-only relocation ----------------------------------------------- *)
+
+(* [relocate] is [replay] without the schedule: on the compiled
+   placement, under aligned translation and across tree sizes, its log
+   is the replay's log word for word (the codec writes the raw words). *)
+let test_relocate_matches_replay () =
+  let words log = Cst.Exec_log.Codec.encode log in
+  let topo64 = Cst.Topology.create ~leaves:64 in
+  let topo512 = Cst.Topology.create ~leaves:512 in
+  List.iter
+    (fun producer ->
+      for seed = 1 to 10 do
+        let s = embedded_set ~seed ~m:16 ~n:64 in
+        let plan = Result.get_ok (Padr.Plan.compile ~producer topo64 s) in
+        let placed = Cst.Canon.place s in
+        let align = Cst.Canon.align placed.canon in
+        List.iter
+          (fun (topo, by) ->
+            let n = Cst.Topology.leaves topo in
+            if placed.base + by + align <= n then begin
+              let t = embed ~n ~by s in
+              let relocated = Padr.Plan.relocate plan topo t in
+              let replayed = Padr.Plan.replay ~keep_configs:false plan topo t in
+              check_true
+                (Printf.sprintf "relocate = replay log (seed %d, %d+%d)" seed
+                   n by)
+                (Bytes.equal (words relocated) (words replayed.log))
+            end)
+          [
+            (topo64, 0);
+            (topo64, align);
+            (topo64, 3 * align);
+            (topo512, 0);
+            (topo512, 5 * align);
+            (topo512, 448);
+          ]
+      done)
+    [ Padr.Plan.Spec; Padr.Plan.Engine ]
+
+(* Every input [replay] rejects, [relocate] rejects with the identical
+   [Invalid_argument] — one check, one message. *)
+let same_rejection what plan topo s =
+  let message f =
+    match f () with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.fail (what ^ ": expected Invalid_argument")
+  in
+  let by_replay = message (fun () -> ignore (Padr.Plan.replay plan topo s)) in
+  let by_relocate =
+    message (fun () -> ignore (Padr.Plan.relocate plan topo s))
+  in
+  Alcotest.(check string) what by_replay by_relocate
+
+let test_relocate_rejects_like_replay () =
+  let topo16 = Cst.Topology.create ~leaves:16 in
+  let s = set ~n:16 [ (0, 3); (1, 2) ] in
+  let plan = Result.get_ok (Padr.Plan.compile topo16 s) in
+  same_rejection "signature mismatch" plan topo16 (set ~n:16 [ (0, 3) ]);
+  same_rejection "set too large" plan
+    (Cst.Topology.create ~leaves:8)
+    (set ~n:16 [ (4, 7); (5, 6) ]);
+  (* On a binary tree a set that fits always has a compatible aligned
+     block, so the placement a plan cannot serve — a translate off its
+     alignment — is caught by the signature, which records the set's
+     position inside its block. *)
+  same_rejection "translate off the alignment" plan topo16
+    (Cst_workloads.Gen_wn.translate ~by:2 s);
+  let kary = Cst.Topology.of_shape (Cst.Shape.kary ~k:4 ~leaves:16) in
+  same_rejection "binary plan on a non-binary topology" plan kary s;
+  let kplan = Result.get_ok (Padr.Plan.compile kary s) in
+  same_rejection "non-binary plan on another shape" kplan
+    (Cst.Topology.of_shape (Cst.Shape.kary ~k:16 ~leaves:16))
+    s;
+  same_rejection "non-binary plan at another placement" kplan kary
+    (Cst_workloads.Gen_wn.translate ~by:4 s)
+
 let suite =
   [
     case "canon: aligned translation invariant" test_canon_translation_invariant;
@@ -396,4 +472,7 @@ let suite =
     case "unaligned offset is rejected" test_unaligned_offset_counterexample;
     case "rebase rejects bad geometry" test_rebase_rejects_bad_geometry;
     case "replay rejects signature mismatch" test_replay_rejects_mismatch;
+    case "relocate log = replay log" test_relocate_matches_replay;
+    case "relocate rejects what replay rejects"
+      test_relocate_rejects_like_replay;
   ]

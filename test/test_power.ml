@@ -70,6 +70,63 @@ let test_meter_of_log () =
   check_int "max writes" 5 (Cst.Power_meter.max_writes_per_switch m);
   check_int "max events" 4 (Cst.Power_meter.max_events_per_switch m)
 
+(* The power record against a from-scratch derivation: per-switch counts
+   from a plain pass over the events, totals and maxima from full scans
+   of those counts — the definition the one-pass meter must keep — for
+   every registry algorithm and the message-passing engine. *)
+let naive_power ~num_nodes log : Padr.Schedule.power =
+  let c = Array.make (num_nodes + 1) 0
+  and d = Array.make (num_nodes + 1) 0
+  and w = Array.make (num_nodes + 1) 0 in
+  Cst.Exec_log.iter log (function
+    | Cst.Exec_log.Connect { node; _ } -> c.(node) <- c.(node) + 1
+    | Cst.Exec_log.Disconnect { node; _ } -> d.(node) <- d.(node) + 1
+    | Cst.Exec_log.Write_config { node; count } ->
+        w.(node) <- w.(node) + count
+    | _ -> ());
+  let sum = Array.fold_left ( + ) 0 and top = Array.fold_left max 0 in
+  {
+    total_connects = sum c;
+    total_disconnects = sum d;
+    total_writes = sum w;
+    max_connects_per_switch = top c;
+    max_writes_per_switch = top w;
+    max_events_per_switch = top (Array.map2 ( + ) c d);
+    per_switch_connects = c;
+    per_switch_writes = w;
+    per_switch_disconnects = d;
+  }
+
+let prop_power_record_matches_events params =
+  let s = set_of_params params in
+  let t = Padr.topology_for s in
+  let num_nodes = Cst.Topology.num_nodes t in
+  let run_on f =
+    let log = Cst.Exec_log.create () in
+    let (sched : Padr.Schedule.t) = f log in
+    sched.power = naive_power ~num_nodes log
+  in
+  run_on (fun log -> fst (Padr.Engine.run_exn ~log t s))
+  && List.for_all
+       (fun (a : Cst_baselines.Registry.algo) ->
+         run_on (fun log -> a.run ~log t s))
+       Cst_baselines.Registry.all
+
+let test_meter_disconnect_last () =
+  (* The busiest switch's last events are disconnects: the per-switch
+     event maximum must count them. *)
+  let log = Cst.Exec_log.create () in
+  Cst.Exec_log.connect log ~node:1 ~out_port:Cst.Side.P ~in_port:Cst.Side.L;
+  Cst.Exec_log.connect log ~node:2 ~out_port:Cst.Side.P ~in_port:Cst.Side.L;
+  Cst.Exec_log.connect log ~node:2 ~out_port:Cst.Side.R ~in_port:Cst.Side.P;
+  Cst.Exec_log.disconnect log ~node:1 ~out_port:Cst.Side.P ~in_port:Cst.Side.L;
+  Cst.Exec_log.connect log ~node:1 ~out_port:Cst.Side.P ~in_port:Cst.Side.R;
+  Cst.Exec_log.disconnect log ~node:1 ~out_port:Cst.Side.P ~in_port:Cst.Side.R;
+  let m = Cst.Power_meter.of_log ~num_nodes:3 log in
+  check_int "max events" 4 (Cst.Power_meter.max_events_per_switch m);
+  check_int "max connects" 2 (Cst.Power_meter.max_connects_per_switch m);
+  check_int "total disconnects" 2 (Cst.Power_meter.total_disconnects m)
+
 let test_meter_cursors () =
   (* Cursors replace the old copy/diff_since machinery: a run records
      [length log] before it starts and derives its share with [~from];
@@ -133,6 +190,9 @@ let suite =
     case "CSA constant across n" test_csa_constant_across_n;
     case "meter of_log" test_meter_of_log;
     case "meter cursors" test_meter_cursors;
+    case "meter counts trailing disconnects" test_meter_disconnect_last;
+    prop "power record = per-switch recount of the events" ~count:60
+      prop_power_record_matches_events;
     case "shared net rerun is free" test_shared_net_rerun_is_free;
     case "shared net topology mismatch" test_shared_net_topology_mismatch;
     case "disconnect tracking" test_disconnect_tracking;

@@ -166,6 +166,65 @@ let test_segmented_equals_engine =
       eng = outcome Service.Segmented false
       && eng = outcome Service.Segmented true)
 
+(* The block-hit path.  A set run a second time on the same plan cache
+   under [Segmented] is served entirely from relocated block logs; that
+   outcome must equal the sequential engine's in everything the service
+   reports: the canonical line, every round of the schedule (sources,
+   dests, deliveries and config snapshots) and the power record — every
+   total, every maximum and the three per-switch arrays. *)
+let same_served (e : Service.job_result) (h : Service.job_result) =
+  let line r = Service.outcome_to_string { job_id = 0; result = Ok r } in
+  match (e.detail, h.detail) with
+  | Sched a, Sched b ->
+      line e = line h && a.rounds = b.rounds && e.power = h.power
+  | _ -> false
+
+let engine_result s =
+  Service.run_job
+    (Service.job ~engine:Service.Message_passing ~id:0 ~algo:"csa" s)
+
+let segmented_on pc s =
+  Service.run_job ~cache:(pc, 0)
+    (Service.job ~engine:Service.Segmented ~id:0 ~algo:"csa" s)
+
+let test_segmented_hits_equal_engine =
+  prop "segmented block hits = engine (rounds, power arrays)" ~count:50
+    (fun (seed, n_exp, density) ->
+      (* tiled copies give multi-block sets; a single copy keeps the
+         generator's own block structure *)
+      let s =
+        Cst_workloads.Gen_wn.tile
+          ~copies:(1 lsl (seed mod 3))
+          (set_of_params (seed, max 2 (n_exp - 1), density))
+      in
+      let pc = Cst_service.Plan_cache.create ~domains:1 () in
+      ignore (segmented_on pc s);
+      match (engine_result s, segmented_on pc s) with
+      | Ok e, Ok h ->
+          h.block_hits = h.blocks
+          && (h.blocks = 0 || h.cache = Service.Hit)
+          && same_served e h
+      | _ -> false)
+
+(* Some blocks hit, one misses: the cache holds two of the set's three
+   block shapes (at other offsets) from an earlier job. *)
+let test_segmented_partial_hits_equal_engine () =
+  let pc = Cst_service.Plan_cache.create ~domains:1 () in
+  let warm = set ~n:64 [ (0, 7); (1, 2); (3, 6); (16, 19); (17, 18) ] in
+  let mixed =
+    set ~n:64
+      [ (8, 15); (9, 10); (11, 14); (32, 35); (33, 34); (40, 47); (41, 46);
+        (42, 45) ]
+  in
+  ignore (segmented_on pc warm);
+  match (engine_result mixed, segmented_on pc mixed) with
+  | Ok e, Ok h ->
+      check_int "three blocks" 3 h.blocks;
+      check_int "two served from the cache" 2 h.block_hits;
+      check_true "partial hits stay Miss" (h.cache = Service.Miss);
+      check_true "equal to the engine in rounds and power" (same_served e h)
+  | _ -> Alcotest.fail "both runs should succeed"
+
 (* Capability dispatch: a crossing set is wave-covered for the csa,
    scheduled directly by crossing-tolerant baselines and rejected with
    the typed violation otherwise. *)
@@ -472,6 +531,9 @@ let suite =
     case "submit after shutdown" test_submit_after_shutdown;
     test_engine_digest_equals_spec;
     test_segmented_equals_engine;
+    test_segmented_hits_equal_engine;
+    case "segmented partial block hits = engine"
+      test_segmented_partial_hits_equal_engine;
     case "capability dispatch" test_capability_dispatch;
     test_cached_equals_uncached;
     case "segmented jobs cache per-block plans" test_segmented_block_cache;
