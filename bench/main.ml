@@ -454,7 +454,7 @@ let f2 () =
         let dt =
           time_once (fun () ->
               for _ = 1 to reps do
-                ignore (Padr.Csa.run_exn ~keep_configs:false topo set)
+                ignore (Padr.Csa.run_exn topo set)
               done)
           /. float_of_int reps
         in
@@ -500,16 +500,16 @@ let microbench () =
                ignore (Cst_comm.Width.width ~leaves:n set)));
         Test.make ~name:"csa-full/1024-dense"
           (Staged.stage (fun () ->
-               ignore (Padr.Csa.run_exn ~keep_configs:false topo set)));
+               ignore (Padr.Csa.run_exn topo set)));
         Test.make ~name:"csa-full/1024-onion64"
           (Staged.stage (fun () ->
-               ignore (Padr.Csa.run_exn ~keep_configs:false topo onion)));
+               ignore (Padr.Csa.run_exn topo onion)));
         Test.make ~name:"roy-id/1024-onion64"
           (Staged.stage (fun () ->
                ignore (Cst_baselines.Roy_id.run topo onion)));
         Test.make ~name:"engine/1024-dense"
           (Staged.stage (fun () ->
-               ignore (Padr.Engine.run_exn ~keep_configs:false topo set)));
+               ignore (Padr.Engine.run_exn topo set)));
         Test.make ~name:"wellnested-check/1024"
           (Staged.stage (fun () ->
                ignore (Cst_comm.Well_nested.is_well_nested set)));
@@ -877,7 +877,7 @@ let plan_cache_bench ~fast =
   let shifted = Cst_workloads.Gen_wn.translate ~by:half base_set in
   let replay_ns, _, _ =
     measure ~budget_s (fun () ->
-        ignore (Padr.Plan.replay ~keep_configs:false plan topo shifted))
+        ignore (Padr.Plan.replay plan topo shifted))
   in
   (* The repetitive trace, through the service's own cache. *)
   let trace_jobs = if fast then 40 else 200 in
@@ -986,13 +986,13 @@ let par_engine_bench ~fast =
   let work_conserved = block_work = work seq_log in
   let seq_ns, _, reps =
     measure ~budget_s (fun () ->
-        Padr.Engine.run_exn ~keep_configs:false topo set)
+        Padr.Engine.run_exn topo set)
   in
   let par_ns domains =
     let ns, _, _ =
       measure ~budget_s (fun () ->
           Result.get_ok
-            (Padr.Par_engine.run ~domains ~keep_configs:false topo set))
+            (Padr.Par_engine.run ~domains topo set))
     in
     ns
   in
@@ -1067,7 +1067,7 @@ let plan_store_bench ~fast =
               Cst_service.Plan_store.find st ~algo:"csa" ~engine:true
                 ~shape:(Cst.Topology.shape topo) ~base:0 ~canon
             with
-            | Some p -> ignore (Padr.Plan.replay ~keep_configs:false p topo set)
+            | Some p -> ignore (Padr.Plan.replay p topo set)
             | None -> failwith "plan store bench: warm store missed")
       in
       let codec_ns, _, _ =
@@ -1082,7 +1082,7 @@ let plan_store_bench ~fast =
         match Padr.Plan.Codec.decode (Padr.Plan.Codec.encode plan) with
         | Error _ -> false
         | Ok decoded ->
-            let r = Padr.Plan.replay ~keep_configs:false decoded topo set in
+            let r = Padr.Plan.replay decoded topo set in
             Cst.Exec_log.digest r.log = Cst.Exec_log.digest fresh_log
       in
       (* leave no bench litter behind *)
@@ -1150,10 +1150,10 @@ let topology_bench ~fast =
           ~cap:(Cst.Topology.cap_table topo)
           set
       in
-      let sched = Padr.Csa.run_exn ~keep_configs:false topo set in
+      let sched = Padr.Csa.run_exn topo set in
       let ns, _, reps =
         measure ~budget_s (fun () ->
-            ignore (Padr.Csa.run_exn ~keep_configs:false topo set))
+            ignore (Padr.Csa.run_exn topo set))
       in
       {
         tb_shape = Cst.Shape.to_string shape;
@@ -1413,7 +1413,7 @@ let bench_json ~fast file =
           if 2 * w <= n then begin
             let rng = Cst_util.Prng.create (1000 + n + w) in
             let set = Cst_workloads.Gen_wn.with_width rng ~n ~width:w in
-            let sched, stats = Padr.Engine.run_exn ~keep_configs:false topo set in
+            let sched, stats = Padr.Engine.run_exn topo set in
             let engine_rounds = Padr.Schedule.num_rounds sched in
             let time kernel ?(rounds = engine_rounds) ?(cycles = stats.cycles)
                 ?(msgs = 0) f =
@@ -1432,10 +1432,10 @@ let bench_json ~fast file =
                 }
             in
             time "engine" ~msgs:stats.control_messages (fun () ->
-                Padr.Engine.run_exn ~keep_configs:false topo set);
+                Padr.Engine.run_exn topo set);
             if n <= dense_cap then
               time "engine-dense" ~msgs:stats.control_messages (fun () ->
-                  Padr.Engine.run_dense_exn ~keep_configs:false topo set);
+                  Padr.Engine.run_dense_exn topo set);
             if n <= registry_cap then
               List.iter
                 (fun (a : Cst_baselines.Registry.algo) ->

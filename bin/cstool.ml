@@ -706,9 +706,11 @@ let dot_cmd =
                        (Padr.Schedule.num_rounds sched));
                 let topo = Cst.Topology.create ~leaves:sched.leaves in
                 let net = Cst.Net.create topo in
-                Array.iter
-                  (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg)
-                  sched.rounds.(round - 1).configs;
+                Padr.Schedule.fold_configs sched ~init:() ~f:(fun () index live ->
+                    if index = round then
+                      List.iter
+                        (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg)
+                        live);
                 emit (Cst.Dot.of_net net)))
   in
   let round =
@@ -818,8 +820,7 @@ let stats_cmd =
     match obtain_set file workload n seed with
     | Error e -> exit_err e
     | Ok set -> (
-        let slog = Cst.Exec_log.create () in
-        match Padr.schedule ~log:slog set with
+        match Padr.schedule set with
         | Error e -> exit_err (Format.asprintf "%a" Padr.pp_error e)
         | Ok sched ->
             let occ = Cst_report.Schedule_stats.occupancy sched in
@@ -831,7 +832,7 @@ let stats_cmd =
             Format.printf "max link use: %d@."
               (Cst_report.Schedule_stats.max_link_use sched);
             Cst_report.Table.print
-              (Cst_report.Schedule_stats.per_round_table ~log:slog sched);
+              (Cst_report.Schedule_stats.per_round_table sched);
             let audit =
               Padr.Invariants.audit
                 (Cst.Topology.create ~leaves:sched.leaves)

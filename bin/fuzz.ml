@@ -20,12 +20,19 @@ let complain seed fmt =
    on one plan cache is served from relocated block logs, and must still
    report what the sequential engine reports — digest, rounds, cycles,
    control messages and the whole power record, per-switch arrays
-   included.  The set is checked alone and as two side-by-side copies:
-   a rerun of the set alone relocates each block onto its own
-   placement, while the second copy's blocks are served from the first
-   copy's plans at a translated base. *)
+   included.  Both outcomes' schedules must verify, and the config
+   snapshots they stream from their logs must equal the spec
+   scheduler's, round by round.  The set is checked alone and as two
+   side-by-side copies: a rerun of the set alone relocates each block
+   onto its own placement, while the second copy's blocks are served
+   from the first copy's plans at a translated base. *)
 let check_cached_segmented seed set =
   let module S = Cst_service.Service in
+  let snapshots sched =
+    List.rev
+      (Padr.Schedule.fold_configs sched ~init:[] ~f:(fun acc index live ->
+           (index, live) :: acc))
+  in
   List.iter
     (fun set ->
       let job engine = S.job ~engine ~id:0 ~algo:"csa" set in
@@ -33,7 +40,7 @@ let check_cached_segmented seed set =
       let segmented () = S.run_job ~cache:(pc, 0) (job S.Segmented) in
       ignore (segmented ());
       match (S.run_job (job S.Message_passing), segmented ()) with
-      | Ok e, Ok h ->
+      | Ok e, Ok h -> (
           if h.block_hits <> h.blocks then
             complain seed "cached segmented rerun missed %d of %d blocks"
               (h.blocks - h.block_hits) h.blocks;
@@ -43,7 +50,21 @@ let check_cached_segmented seed set =
             || h.control_messages <> e.control_messages
             || h.power <> e.power
           then
-            complain seed "cached segmented outcome diverges from the engine"
+            complain seed "cached segmented outcome diverges from the engine";
+          match (e.detail, h.detail) with
+          | Sched es, Sched hs ->
+              let spec = snapshots (Padr.schedule_exn set) in
+              List.iter
+                (fun (path, (sched : Padr.Schedule.t)) ->
+                  let topo = Cst.Topology.create ~leaves:sched.leaves in
+                  let report = Padr.Verify.schedule topo set sched in
+                  if not report.ok then
+                    complain seed "%s schedule verification: %s" path
+                      (String.concat "; " report.issues);
+                  if snapshots sched <> spec then
+                    complain seed "%s snapshots diverge from the spec's" path)
+                [ ("engine", es); ("cached segmented", hs) ]
+          | _ -> complain seed "engine outcome carries no schedule")
       | Error err, _ | _, Error err ->
           complain seed "cached segmented check failed: %a" S.pp_error err)
     [ set; Cst_workloads.Gen_wn.tile ~copies:2 set ]

@@ -46,9 +46,9 @@ let () =
   (* Physical paths of round 1, straight from the data plane. *)
   let topo = Cst.Topology.create ~leaves:sched.leaves in
   let net = Cst.Net.create topo in
-  Array.iter
-    (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg)
-    sched.rounds.(0).configs;
+  Padr.Schedule.fold_configs sched ~init:() ~f:(fun () index live ->
+      if index = 1 then
+        List.iter (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg) live);
   Format.printf "--- round 1 paths ---@.";
   List.iter
     (fun src ->

@@ -40,21 +40,14 @@ let () =
   (* Run the schedule and watch switch u's configuration per round. *)
   let sched = Padr.schedule_exn set in
   Format.printf "schedule (width %d):@." sched.width;
-  Array.iter
-    (fun (r : Padr.Schedule.round) ->
-      let cfg_u =
-        Array.fold_left
-          (fun acc (node, cfg) -> if node = u then Some cfg else acc)
-          None r.configs
-      in
-      Format.printf "  round %d: u=%s |"
-        r.index
-        (match cfg_u with
+  Padr.Schedule.fold_configs sched ~init:() ~f:(fun () index live ->
+      let r = sched.rounds.(index - 1) in
+      Format.printf "  round %d: u=%s |" r.index
+        (match List.assoc_opt u live with
         | Some c -> Format.asprintf "%a" Cst.Switch_config.pp c
         | None -> "{}");
       List.iter (fun (s, d) -> Format.printf " %d->%d" s d) r.deliveries;
-      Format.printf "@.")
-    sched.rounds;
+      Format.printf "@.");
 
   Format.printf "@.switch u made %d configuration change(s) in %d rounds@."
     sched.power.per_switch_connects.(u)

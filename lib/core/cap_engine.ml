@@ -169,14 +169,13 @@ let simulate ~log topo set =
               state_words_per_switch = 5;
             } )
 
-let run ?(keep_configs = true) ?log topo set =
+let run ?log topo set =
   let log = match log with Some l -> l | None -> Cst.Exec_log.create () in
   match simulate ~log topo set with
   | Error e -> Error e
   | Ok (from, stats) ->
       let sched =
-        Schedule.of_log ~from ~keep_configs ~set ~topo ~cycles:stats.cycles
-          log
+        Schedule.of_log ~from ~set ~topo ~cycles:stats.cycles log
       in
       Ok (sched, stats)
 
@@ -185,7 +184,7 @@ let run_log ~log topo set =
   | Error e -> Error e
   | Ok (_, stats) -> Ok stats
 
-let run_exn ?keep_configs ?log topo set =
-  match run ?keep_configs ?log topo set with
+let run_exn ?log topo set =
+  match run ?log topo set with
   | Ok r -> r
   | Error e -> invalid_arg (Format.asprintf "%a" Sched_error.pp e)

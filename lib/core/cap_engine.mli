@@ -28,19 +28,17 @@ type stats = {
 }
 
 val run :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->
   (Schedule.t * stats, Sched_error.t) result
 (** Schedule a well-nested set on any shape.  Appends the run to
-    [?log] (or a private log) and derives the schedule from it.  Config
-    snapshots in the schedule are empty (crossbar state is not
-    representable as [Switch_config.t]); deliveries, rounds, width and
-    power are all populated. *)
+    [?log] (or a private log) and derives the schedule from it.  Its
+    streamed config snapshots ({!Schedule.fold_configs}) are empty
+    (crossbar state is not representable as [Switch_config.t]);
+    deliveries, rounds, width and power are all populated. *)
 
 val run_exn :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->

@@ -9,12 +9,12 @@ exception Stall of { round : int; remaining : int }
 (* Internal signal raised from inside a scheduling loop and converted to
    [Error (Stalled _)] at the run boundary. *)
 
-let run ?keep_configs ?(eager_clear = false) ?net ?log topo set =
+let run ?(eager_clear = false) ?net ?log topo set =
   if not (Cst.Topology.is_binary topo) then begin
     (* The 3-sided switch protocol below is meaningless off the binary
        shape; the capacity engine is the spec there. *)
     if net <> None then invalid_arg "Csa.run: ?net requires a binary topology";
-    match Cap_engine.run ?keep_configs ?log topo set with
+    match Cap_engine.run ?log topo set with
     | Ok (sched, _stats) -> Ok sched
     | Error e -> Error e
   end
@@ -69,12 +69,12 @@ let run ?keep_configs ?(eager_clear = false) ?net ?log topo set =
         Cst.Exec_log.run_end log ~rounds:!index;
         let levels = Cst.Topology.levels topo in
         Ok
-          (Schedule.of_log ~from ?keep_configs ~set ~topo
+          (Schedule.of_log ~from ~set ~topo
              ~cycles:(levels + (!index * (levels + 1)))
              log)
         with Stall { round; remaining } -> Error (Stalled { round; remaining })
 
-let run_exn ?keep_configs ?eager_clear ?net ?log topo set =
-  match run ?keep_configs ?eager_clear ?net ?log topo set with
+let run_exn ?eager_clear ?net ?log topo set =
+  match run ?eager_clear ?net ?log topo set with
   | Ok s -> s
   | Error e -> invalid_arg (Format.asprintf "%a" pp_error e)

@@ -27,7 +27,6 @@ exception Stall of { round : int; remaining : int }
     to [Error (Stalled _)] at each [run] boundary. *)
 
 val run :
-  ?keep_configs:bool ->
   ?eager_clear:bool ->
   ?net:Cst.Net.t ->
   ?log:Cst.Exec_log.t ->
@@ -42,15 +41,14 @@ val run :
     On a non-binary topology the run is delegated to {!Cap_engine} (the
     3-sided message protocol does not generalize); [?net] is then
     rejected and [eager_clear] ignored.
-    [keep_configs] (default true) stores per-round configuration snapshots
-    in the schedule for verification; disable for timing benchmarks.
+    Per-round configuration snapshots are streamed from the log on
+    demand ({!Schedule.fold_configs}).
     [net] runs the schedule on an existing network whose switch
     configurations persist from earlier runs — the PADR carry-over across
     consecutive communication phases; the reported power is this run's
     share only.  The net's topology must equal [topo]. *)
 
 val run_exn :
-  ?keep_configs:bool ->
   ?eager_clear:bool ->
   ?net:Cst.Net.t ->
   ?log:Cst.Exec_log.t ->

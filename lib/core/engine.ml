@@ -248,16 +248,14 @@ let simulate ?log topo set =
         with Csa.Stall { round; remaining } ->
           Error (Csa.Stalled { round; remaining })
 
-let run ?(keep_configs = true) ?log topo set =
-  if not (Cst.Topology.is_binary topo) then
-    Cap_engine.run ~keep_configs ?log topo set
+let run ?log topo set =
+  if not (Cst.Topology.is_binary topo) then Cap_engine.run ?log topo set
   else
     match simulate ?log topo set with
     | Error e -> Error e
     | Ok (log, from, stats) ->
         let sched =
-          Schedule.of_log ~from ~keep_configs ~set ~topo ~cycles:stats.cycles
-            log
+          Schedule.of_log ~from ~set ~topo ~cycles:stats.cycles log
         in
         Ok (sched, stats)
 
@@ -268,8 +266,8 @@ let run_log ~log topo set =
     | Error e -> Error e
     | Ok (_, _, stats) -> Ok stats
 
-let run_exn ?keep_configs ?log topo set =
-  match run ?keep_configs ?log topo set with
+let run_exn ?log topo set =
+  match run ?log topo set with
   | Ok r -> r
   | Error e -> invalid_arg (Format.asprintf "%a" Csa.pp_error e)
 
@@ -278,9 +276,8 @@ let run_exn ?keep_configs ?log topo set =
    equivalence suite (test/test_engine_equiv.ml) asserts that {!run}
    produces byte-identical schedules and stats, and the benchmark
    baseline times both. *)
-let run_dense ?(keep_configs = true) ?log topo set =
-  if not (Cst.Topology.is_binary topo) then
-    Cap_engine.run ~keep_configs ?log topo set
+let run_dense ?log topo set =
+  if not (Cst.Topology.is_binary topo) then Cap_engine.run ?log topo set
   else
   let leaves = Cst.Topology.leaves topo in
   if Cst_comm.Comm_set.n set > leaves then
@@ -406,7 +403,7 @@ let run_dense ?(keep_configs = true) ?log topo set =
           done;
           Cst.Exec_log.run_end log ~rounds:!index;
           let sched =
-            Schedule.of_log ~from ~keep_configs ~set ~topo ~cycles:!cycles log
+            Schedule.of_log ~from ~set ~topo ~cycles:!cycles log
           in
           Ok
             ( sched,
@@ -419,7 +416,7 @@ let run_dense ?(keep_configs = true) ?log topo set =
         with Csa.Stall { round; remaining } ->
           Error (Csa.Stalled { round; remaining })
 
-let run_dense_exn ?keep_configs ?log topo set =
-  match run_dense ?keep_configs ?log topo set with
+let run_dense_exn ?log topo set =
+  match run_dense ?log topo set with
   | Ok r -> r
   | Error e -> invalid_arg (Format.asprintf "%a" Csa.pp_error e)

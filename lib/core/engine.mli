@@ -33,7 +33,6 @@ type stats = Cap_engine.stats = {
 }
 
 val run :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->
@@ -43,7 +42,6 @@ val run :
     [?log] (or a private log) and the schedule is derived from it. *)
 
 val run_exn :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->
@@ -61,7 +59,6 @@ val run_log :
     schedule construction would be pure waste. *)
 
 val run_dense :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->
@@ -71,7 +68,6 @@ val run_dense :
     baseline; produces exactly {!run}'s output. *)
 
 val run_dense_exn :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->

@@ -144,7 +144,7 @@ let sweep topo states =
     matched_count = !matched;
   }
 
-let run ?keep_configs ?net ?log topo set =
+let run ?net ?log topo set =
   let leaves = Cst.Topology.leaves topo in
   if Cst_comm.Comm_set.n set > leaves then
     Error (Csa.Too_large { n = Cst_comm.Comm_set.n set; leaves })
@@ -192,13 +192,13 @@ let run ?keep_configs ?net ?log topo set =
         Cst.Exec_log.run_end log ~rounds:!index;
         let levels = Cst.Topology.levels topo in
         Ok
-          (Schedule.of_log ~from ?keep_configs ~set ~topo
+          (Schedule.of_log ~from ~set ~topo
              ~cycles:(levels + (!index * (levels + 1)))
              log)
         with Csa.Stall { round; remaining } ->
           Error (Csa.Stalled { round; remaining })
 
-let run_exn ?keep_configs ?net ?log topo set =
-  match run ?keep_configs ?net ?log topo set with
+let run_exn ?net ?log topo set =
+  match run ?net ?log topo set with
   | Ok s -> s
   | Error e -> invalid_arg (Format.asprintf "%a" Csa.pp_error e)

@@ -15,7 +15,6 @@
     {!Cst.Topology.mirror_node}; all of the paper's theorems transfer. *)
 
 val run :
-  ?keep_configs:bool ->
   ?net:Cst.Net.t ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
@@ -25,7 +24,6 @@ val run :
     [dst < src]).  Errors mirror {!Csa.run}'s. *)
 
 val run_exn :
-  ?keep_configs:bool ->
   ?net:Cst.Net.t ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->

@@ -29,11 +29,11 @@ let topo_of ?shape ?leaves set =
   | None, Some leaves -> Cst.Topology.create ~leaves
   | None, None -> topology_for set
 
-let schedule ?shape ?leaves ?keep_configs ?log set =
-  Csa.run ?keep_configs ?log (topo_of ?shape ?leaves set) set
+let schedule ?shape ?leaves ?log set =
+  Csa.run ?log (topo_of ?shape ?leaves set) set
 
-let schedule_exn ?shape ?leaves ?keep_configs ?log set =
-  Csa.run_exn ?keep_configs ?log (topo_of ?shape ?leaves set) set
+let schedule_exn ?shape ?leaves ?log set =
+  Csa.run_exn ?log (topo_of ?shape ?leaves set) set
 
 let verify (sched : Schedule.t) =
   Verify.schedule (Cst.Topology.create ~leaves:sched.leaves) sched.set sched

@@ -67,7 +67,6 @@ val topology_for : Cst_comm.Comm_set.t -> Cst.Topology.t
 val schedule :
   ?shape:Cst.Shape.t ->
   ?leaves:int ->
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst_comm.Comm_set.t ->
   (Schedule.t, error) result
@@ -80,7 +79,6 @@ val schedule :
 val schedule_exn :
   ?shape:Cst.Shape.t ->
   ?leaves:int ->
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst_comm.Comm_set.t ->
   Schedule.t

@@ -52,7 +52,7 @@ let run_block ?small topo (b : Cst_comm.Decompose.block) =
              ~src_base:0 ~dst_leaves:(Cst.Topology.leaves topo)
              ~dst_base:b.base ~align:b.align)
 
-let merge_blocks ?(keep_configs = true) ?log topo set block_logs =
+let merge_blocks ?log topo set block_logs =
   let levels = Cst.Topology.levels topo in
   let leaves = Cst.Topology.leaves topo in
   let out = match log with Some l -> l | None -> Cst.Exec_log.create () in
@@ -64,7 +64,7 @@ let merge_blocks ?(keep_configs = true) ?log topo set block_logs =
     | _ -> assert false
   in
   let sched =
-    Schedule.of_log ~from ~keep_configs ~set ~topo
+    Schedule.of_log ~from ~set ~topo
       ~cycles:(1 + levels + (rounds * (levels + 2)))
       merged
   in
@@ -92,7 +92,7 @@ let merge_blocks ?(keep_configs = true) ?log topo set block_logs =
   in
   (sched, stats)
 
-let run ?(domains = 1) ?keep_configs ?log topo set =
+let run ?(domains = 1) ?log topo set =
   match decompose topo set with
   | Error e -> Error e
   | Ok blocks -> (
@@ -151,4 +151,4 @@ let run ?(domains = 1) ?keep_configs ?log topo set =
       in
       match collect 0 [] with
       | Error e -> Error e
-      | Ok logs -> Ok (merge_blocks ?keep_configs ?log topo set logs))
+      | Ok logs -> Ok (merge_blocks ?log topo set logs))

@@ -47,7 +47,6 @@ val run_block :
     created otherwise); {!run} shares one per distinct align size. *)
 
 val merge_blocks :
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->
@@ -66,7 +65,6 @@ val merge_blocks :
 
 val run :
   ?domains:int ->
-  ?keep_configs:bool ->
   ?log:Cst.Exec_log.t ->
   Cst.Topology.t ->
   Cst_comm.Comm_set.t ->

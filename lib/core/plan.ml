@@ -49,14 +49,14 @@ let compile ?(producer = Engine) topo set =
   let log = Cst.Exec_log.create () in
   match producer with
   | Engine -> (
-      match Engine.run ~keep_configs:false ~log topo set with
+      match Engine.run ~log topo set with
       | Ok (s, stats) ->
           Ok
             (of_log ~producer ~topo ~set ~rounds:(Schedule.num_rounds s)
                ~cycles:s.cycles ~control_messages:stats.control_messages log)
       | Error e -> Error e)
   | Spec -> (
-      match Csa.run ~keep_configs:false ~log topo set with
+      match Csa.run ~log topo set with
       | Ok s ->
           Ok
             (of_log ~producer ~topo ~set ~rounds:(Schedule.num_rounds s)
@@ -101,7 +101,7 @@ let relocate t topo set =
       ~dst_leaves:leaves ~dst_base:placed.base
       ~align:(Cst.Canon.align t.canon)
 
-let replay ?(keep_configs = true) t topo set =
+let replay t topo set =
   let log = relocate t topo set in
   let leaves = Cst.Topology.leaves topo in
   let cycles =
@@ -116,7 +116,7 @@ let replay ?(keep_configs = true) t topo set =
     else model_control_messages t.producer ~leaves ~rounds:t.rounds
   in
   {
-    schedule = Schedule.of_log ~keep_configs ~set ~topo ~cycles log;
+    schedule = Schedule.of_log ~set ~topo ~cycles log;
     log;
     cycles;
     control_messages;

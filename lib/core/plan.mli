@@ -76,15 +76,17 @@ type replayed = {
   control_messages : int;  (** re-modeled for the target tree size *)
 }
 
-val replay :
-  ?keep_configs:bool -> t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
+val replay : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
 (** {!relocate}, then the schedule of [set] on [topo] derived from the
     relocated log ({!Schedule.of_log}) and the cycle and control-message
     counts re-modeled for the target tree size — no scheduling.
     Accepts and rejects exactly the inputs {!relocate} does, with the
     same [Invalid_argument].  O(events + tree nodes): the relocation is
     O(events), the schedule derivation adds the tree-sized power ledger
-    and width table. *)
+    and width table.  The schedule's log range is [log]: at the
+    compiled placement and tree size it is the plan's own (never
+    mutated) arena, so streamed snapshots ({!Schedule.fold_configs})
+    read the cached plan directly. *)
 
 val bytes : t -> int
 (** Approximate heap footprint (event arena + signature + boxing);

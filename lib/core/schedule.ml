@@ -3,7 +3,6 @@ type round = {
   sources : int list;
   dests : int list;
   deliveries : (int * int) list;
-  configs : (int * Cst.Switch_config.t) array;
 }
 
 type power = {
@@ -18,6 +17,8 @@ type power = {
   per_switch_disconnects : int array;
 }
 
+type source = { log : Cst.Exec_log.t; from : int; upto : int }
+
 type t = {
   leaves : int;
   set : Cst_comm.Comm_set.t;
@@ -25,6 +26,7 @@ type t = {
   rounds : round array;
   power : power;
   cycles : int;
+  source : source option;
 }
 
 let num_rounds t = Array.length t.rounds
@@ -111,21 +113,23 @@ let mirror_power topo p =
 (* The schedule as a pure derivation of the execution log.  Sources are
    the delivery sources in emission order (every producer sweeps PEs in
    ascending order, so this matches the legacy eager fields); dests are
-   sorted.  Config snapshots come from the log replay: the live (merged)
-   configuration of every non-empty switch at the end of each round,
-   ascending by node — identical to the old per-round net scans. *)
-let of_log ?from ?upto ?(keep_configs = true) ~set ~topo ~cycles log =
+   sorted.  Config snapshots are not copied: the schedule keeps its log
+   range and [fold_configs] replays it on demand. *)
+let of_log ?(from = 0) ?upto ?(keep_configs = true) ~set ~topo ~cycles log =
   let leaves = Cst.Topology.leaves topo in
   let num_nodes = Cst.Topology.num_nodes topo in
+  let upto =
+    let len = Cst.Exec_log.length log in
+    match upto with Some u -> min u len | None -> len
+  in
   let rounds =
-    Cst.Exec_log.fold_rounds ?from ?upto ~snapshots:keep_configs log ~init:[]
+    Cst.Exec_log.fold_rounds ~from ~upto ~snapshots:false log ~init:[]
       ~f:(fun acc (rv : Cst.Exec_log.round_view) ->
         {
           index = rv.index;
           sources = List.map fst rv.deliveries;
           dests = List.sort compare (List.map snd rv.deliveries);
           deliveries = rv.deliveries;
-          configs = (if keep_configs then Array.of_list rv.live else [||]);
         }
         :: acc)
     |> List.rev |> Array.of_list
@@ -143,9 +147,17 @@ let of_log ?from ?upto ?(keep_configs = true) ~set ~topo ~cycles log =
     set;
     width;
     rounds;
-    power = power_of_meter (Cst.Power_meter.of_log ?from ?upto ~num_nodes log);
+    power = power_of_meter (Cst.Power_meter.of_log ~from ~upto ~num_nodes log);
     cycles;
+    source = (if keep_configs then Some { log; from; upto } else None);
   }
+
+let fold_configs t ~init ~f =
+  match t.source with
+  | None -> init
+  | Some { log; from; upto } ->
+      Cst.Exec_log.fold_rounds ~from ~upto log ~init
+        ~f:(fun acc (rv : Cst.Exec_log.round_view) -> f acc rv.index rv.live)
 
 let pp_round fmt r =
   Format.fprintf fmt "round %d:" r.index;

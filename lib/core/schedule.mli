@@ -5,10 +5,6 @@ type round = {
   sources : int list;  (** PEs that wrote this round *)
   dests : int list;
   deliveries : (int * int) list;  (** realized (src, dst) transfers *)
-  configs : (int * Cst.Switch_config.t) array;
-      (** live (merged) configuration of every switch whose configuration
-          is non-empty after this round's reconfiguration; empty array when
-          the run did not keep configurations *)
 }
 
 type power = {
@@ -28,6 +24,14 @@ type power = {
   per_switch_disconnects : int array;
 }
 
+type source = { log : Cst.Exec_log.t; from : int; upto : int }
+(** The log range [[from, upto)] a schedule was derived from.  [upto]
+    is fixed at derivation, so events appended to the log later — the
+    next wave or phase on a shared net — never reach the schedule.
+    {b Contract:} the first [upto] events of [log] are not rewritten
+    after derivation (config state is replayed from position 0, not
+    from [from]); appends are fine. *)
+
 type t = {
   leaves : int;
   set : Cst_comm.Comm_set.t;
@@ -37,6 +41,10 @@ type t = {
   cycles : int;
       (** synchronous clock cycles: one per tree level for Phase 1, one
           per level plus a transfer cycle per round *)
+  source : source option;
+      (** where {!fold_configs} streams the configuration snapshots
+          from; [None] for a schedule derived with
+          [~keep_configs:false] *)
 }
 
 val of_log :
@@ -48,12 +56,32 @@ val of_log :
   cycles:int ->
   Cst.Exec_log.t ->
   t
-(** Derive a schedule from a log range: rounds, deliveries and config
-    snapshots from {!Cst.Exec_log.fold_rounds}, power from
-    {!Cst.Power_meter.of_log}.  [cycles] stays caller-supplied because
-    the synchronous-cycle formula is a property of the producer (the
-    message-passing engine pays an extra broadcast sweep).  This is the
-    only constructor the producers use. *)
+(** Derive a schedule from a log range (default: the whole log as it
+    stands): rounds and deliveries from one
+    [Cst.Exec_log.fold_rounds ~snapshots:false] pass, power from
+    {!Cst.Power_meter.of_log}.  No configuration is copied:
+    [keep_configs] (default true) retains the log range as [source], in
+    O(1); [false] retains nothing, so {!fold_configs} folds no round.
+    [cycles] stays caller-supplied because the synchronous-cycle
+    formula is a property of the producer (the message-passing engine
+    pays an extra broadcast sweep).  This is the only constructor the
+    producers use. *)
+
+val fold_configs :
+  t ->
+  init:'a ->
+  f:('a -> int -> (int * Cst.Switch_config.t) list -> 'a) ->
+  'a
+(** [fold_configs t ~init ~f] replays the schedule's log range and
+    calls [f acc index live] once per logged round, in order, where
+    [live] is the live (merged) configuration of every switch that is
+    non-empty after round [index]'s reconfiguration, ascending by node —
+    connections carried over from earlier runs on a shared net
+    included.  One round's snapshot is built at a time, so a consumer
+    that walks every round holds O(live), never O(rounds × live).
+    O(upto) per call.  Folds nothing when [t.source] is [None].
+    Capacity-engine runs (non-binary shapes) log no [Connect] events,
+    so their snapshots are empty. *)
 
 val num_rounds : t -> int
 
@@ -71,9 +99,10 @@ val zero_power : num_nodes:int -> power
 
 val combine_power : power -> power -> power
 (** Componentwise combination for multi-part schedules (waves, mixed
-    orientations, traffic phases): totals add, per-switch maxima take the
-    max of the two parts' maxima, per-switch arrays add pointwise (arrays
-    of different lengths are padded). *)
+    orientations, traffic phases): totals and per-switch arrays add
+    (arrays of different lengths are padded), and the per-switch maxima
+    are recomputed from the summed arrays — a switch busy in both parts
+    can exceed either part's maximum. *)
 
 val mirror_power : Cst.Topology.t -> power -> power
 (** Re-expresses per-switch arrays of a schedule computed on the mirrored

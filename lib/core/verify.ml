@@ -36,11 +36,9 @@ let width_of topo set =
       ~cap:(Cst.Topology.cap_table topo)
       set
 
-let replay_round topo (round : Schedule.round) =
+let replay_round topo (round : Schedule.round) live =
   let net = Cst.Net.create topo in
-  Array.iter
-    (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg)
-    round.configs;
+  List.iter (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg) live;
   List.iter (fun pe -> Cst.Net.pe_write net ~pe pe) round.sources;
   Cst.Data_plane.transfer net ~sources:round.sources
 
@@ -69,14 +67,29 @@ let schedule ?(power_bound = default_power_bound)
       if List.length r.dests <> List.length r.deliveries then
         problem "round %d: %d dests but %d deliveries" r.index
           (List.length r.dests)
-          (List.length r.deliveries);
-      if Array.length r.configs > 0 then begin
-        let replayed = List.sort compare (replay_round topo r) in
-        if replayed <> List.sort compare r.deliveries then
-          problem "round %d: replaying stored configurations diverges"
-            r.index
-      end)
+          (List.length r.deliveries))
     sched.rounds;
+  (* The physical replay pairs the k-th logged round with the k-th
+     schedule round.  Only binary switches have a [Switch_config.t]
+     data plane: capacity-engine logs carry no [Connect] events. *)
+  if Cst.Topology.is_binary topo && Option.is_some sched.source then begin
+    let logged =
+      Schedule.fold_configs sched ~init:0 ~f:(fun k index live ->
+          (if k < Array.length sched.rounds then
+             let r = sched.rounds.(k) in
+             if
+               r.index <> index
+               || List.sort compare (replay_round topo r live)
+                  <> List.sort compare r.deliveries
+             then
+               problem "round %d: replaying the logged configurations diverges"
+                 r.index);
+          k + 1)
+    in
+    if logged <> Array.length sched.rounds then
+      problem "the log holds %d rounds but the schedule %d" logged
+        (Array.length sched.rounds)
+  end;
   let width = width_of topo set in
   if check_rounds_optimal && Schedule.num_rounds sched <> width then
     problem "rounds (%d) differ from width (%d)"

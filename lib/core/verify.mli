@@ -9,9 +9,13 @@
        round than its capacity (1 everywhere on the classic binary tree);}
     {- {e round optimality} (Theorem 5): the number of rounds equals the
        set's capacity-weighted width;}
-    {- {e replay}: when configuration snapshots were kept, re-installing
-       them on a fresh network reproduces each round's deliveries through
-       the physical data plane;}
+    {- {e replay}: on a binary topology, re-installing each round's
+       configuration snapshot ({!Schedule.fold_configs}, streamed from
+       the schedule's log) on a fresh network reproduces that round's
+       deliveries through the physical data plane, and the log holds
+       exactly the schedule's rounds.  This runs for every schedule
+       that retains its log — all of them, unless it was derived with
+       [Schedule.of_log ~keep_configs:false];}
     {- {e power} (Theorem 8): the maximum number of connects at any single
        switch does not exceed [power_bound] (a constant independent of the
        width; default {!default_power_bound}).}} *)

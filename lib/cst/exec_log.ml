@@ -200,7 +200,6 @@ let digest ?from ?upto t =
 
 type round_view = {
   index : int;
-  changed : (int * Switch_config.t) list;
   live : (int * Switch_config.t) list;
   deliveries : (int * int) list;
 }
@@ -227,18 +226,18 @@ let config_table = Array.init 64 config_of_byte
 
 let fold_rounds ?(from = 0) ?upto ?(snapshots = true) t ~init ~f =
   let from, upto = clamp ~from ?upto t in
-  (* Per-node replay state, one byte each: bits 0-5 driver state, bit 6
-     "on this round's changed list", bit 7 "on the live list".  There
-     are only 64 possible driver states, so materialized
-     [Switch_config.t] values come from one shared precomputed table —
-     snapshots allocate nothing but their list cells.  [live_list] is
-     compacted lazily at each snapshot, so a round's snapshot costs
-     O(live + died-this-round), not O(every switch ever driven) — the
-     per-round baselines clear the whole tree between rounds, which
-     would otherwise make every replayed round scan the full history. *)
-  let state = ref (Bytes.make 1024 '\000') in
+  (* Per-node replay state, one byte each: bits 0-5 driver state, bit 7
+     "on the live list".  There are only 64 possible driver states, so
+     materialized [Switch_config.t] values come from one shared
+     precomputed table — snapshots allocate nothing but their list
+     cells.  [live_list] is compacted lazily at each snapshot, so a
+     round's snapshot costs O(live + died-this-round), not O(every
+     switch ever driven) — the per-round baselines clear the whole tree
+     between rounds, which would otherwise make every replayed round
+     scan the full history.  Without snapshots no view reads the
+     driver state, so config events are skipped outright. *)
+  let state = ref (Bytes.make (if snapshots then 1024 else 0) '\000') in
   let live_list = ref [] in
-  let changed = ref [] in
   let get node =
     if node < Bytes.length !state then Char.code (Bytes.get !state node) else 0
   in
@@ -265,16 +264,7 @@ let fold_rounds ?(from = 0) ?upto ?(snapshots = true) t ~init ~f =
     in
     put node nb
   in
-  let mark_changed node =
-    let b = get node in
-    if b land 64 = 0 then begin
-      changed := node :: !changed;
-      put node (b lor 64)
-    end
-  in
-  let config_at node = config_table.(get node land 63) in
-  for i = 0 to from - 1 do
-    let w = t.buf.(i) in
+  let replay_config w =
     let tag = w land 7 in
     if tag = tag_connect then
       set_driver
@@ -283,18 +273,16 @@ let fold_rounds ?(from = 0) ?upto ?(snapshots = true) t ~init ~f =
         (1 + ((w lsr 43) land field_mask))
     else if tag = tag_disconnect then
       set_driver ((w lsr 3) land field_mask) ((w lsr 23) land field_mask) 0
-  done;
+  in
+  if snapshots then
+    for i = 0 to from - 1 do
+      replay_config t.buf.(i)
+    done;
   let acc = ref init in
   let cur_index = ref (-1) in
   let dels = ref [] in
   let flush () =
     if !cur_index >= 0 then begin
-      let changed_list =
-        List.sort compare !changed
-        |> List.map (fun node ->
-               put node (get node land lnot 64);
-               (node, config_at node))
-      in
       let snapshot =
         if not snapshots then []
         else begin
@@ -310,18 +298,12 @@ let fold_rounds ?(from = 0) ?upto ?(snapshots = true) t ~init ~f =
           in
           live_list := kept;
           List.sort compare kept
-          |> List.map (fun node -> (node, config_at node))
+          |> List.map (fun node -> (node, config_table.(get node land 63)))
         end
       in
       acc :=
         f !acc
-          {
-            index = !cur_index;
-            changed = changed_list;
-            live = snapshot;
-            deliveries = List.rev !dels;
-          };
-      changed := [];
+          { index = !cur_index; live = snapshot; deliveries = List.rev !dels };
       dels := [];
       cur_index := -1
     end
@@ -333,17 +315,9 @@ let fold_rounds ?(from = 0) ?upto ?(snapshots = true) t ~init ~f =
     | 1 (* round_begin *) ->
         flush ();
         cur_index := (w lsr 3) land wide_mask
-    | 2 (* connect *) ->
-        let node = (w lsr 3) land field_mask in
-        set_driver node
-          ((w lsr 23) land field_mask)
-          (1 + ((w lsr 43) land field_mask));
-        mark_changed node
-    | 3 (* disconnect *) ->
-        let node = (w lsr 3) land field_mask in
-        set_driver node ((w lsr 23) land field_mask) 0;
-        mark_changed node
-    | 4 (* write_config *) -> mark_changed ((w lsr 3) land field_mask)
+    | 2 (* connect *) | 3 (* disconnect *) ->
+        if snapshots then replay_config w
+    | 4 (* write_config *) -> ()
     | 5 (* deliver *) ->
         dels := (((w lsr 3) land field_mask), (w lsr 23) land field_mask)
                 :: !dels

@@ -3,7 +3,8 @@
     Every scheduler run appends its behaviour — switch transitions,
     register writes, round boundaries and deliveries — as a flat
     sequence of typed events.  The log is the single source of truth:
-    {!Schedule.of_log} (rounds, deliveries, config snapshots),
+    {!Schedule.of_log} (rounds, deliveries; config snapshots streamed
+    on demand by {!Schedule.fold_configs}),
     {!Power_meter.of_log} (the entire power ledger), {!Trace.of_log}
     (pretty-printed narration) and the service digest are all pure
     derivations of it.
@@ -136,9 +137,6 @@ val merge : ?into:t -> levels:int -> t list -> t
 
 type round_view = {
   index : int;  (** as logged by [Round_begin] *)
-  changed : (int * Switch_config.t) list;
-      (** switches reconfigured this round, ascending node id, with the
-          configuration in force after the round's transitions *)
   live : (int * Switch_config.t) list;
       (** all non-empty configurations at the end of the round,
           ascending node id; [[]] when [snapshots:false] *)
@@ -156,7 +154,9 @@ val fold_rounds :
 (** Replays the log and folds one {!round_view} per round.  Config
     state is replayed from position 0 regardless of [from] (carry-over
     on shared nets), but only rounds beginning at or after [from] are
-    folded.  [snapshots:false] skips the [live] computation. *)
+    folded.  [snapshots:false] skips the config replay and the [live]
+    computation: the pass then reads only round boundaries and
+    deliveries. *)
 
 (** {1 Analyses} *)
 

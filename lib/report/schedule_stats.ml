@@ -53,37 +53,24 @@ let occupancy (sched : Padr.Schedule.t) =
       min_per_round = Array.fold_left min max_int per_round;
     }
 
-let per_round_table ?log ?from (sched : Padr.Schedule.t) =
+let per_round_table (sched : Padr.Schedule.t) =
   let table =
     Table.create ~title:"per-round detail"
       ~columns:[ "round"; "comms"; "live connections" ]
   in
-  (* Rounds scheduled with [keep_configs:false] carry no snapshot; the
-     execution log replays them exactly when provided. *)
-  let live_from_log =
-    match log with
-    | None -> fun _ -> None
-    | Some log ->
-        let tbl = Hashtbl.create 16 in
-        Cst.Exec_log.fold_rounds ?from log ~init:() ~f:(fun () rv ->
-            let live =
-              List.fold_left
-                (fun acc (_, cfg) ->
-                  acc + Cst.Switch_config.connection_count cfg)
-                0 rv.Cst.Exec_log.live
-            in
-            Hashtbl.replace tbl rv.Cst.Exec_log.index live);
-        fun index -> Hashtbl.find_opt tbl index
-  in
+  let live = Hashtbl.create 16 in
+  Padr.Schedule.fold_configs sched ~init:() ~f:(fun () index configs ->
+      Hashtbl.replace live index
+        (List.fold_left
+           (fun acc (_, cfg) -> acc + Cst.Switch_config.connection_count cfg)
+           0 configs));
   Array.iter
     (fun (r : Padr.Schedule.round) ->
-      let live =
-        if Array.length r.configs > 0 then
-          Array.fold_left
-            (fun acc (_, cfg) -> acc + Cst.Switch_config.connection_count cfg)
-            0 r.configs
-        else Option.value ~default:0 (live_from_log r.index)
-      in
-      Table.add_int_row table [ r.index; List.length r.deliveries; live ])
+      Table.add_int_row table
+        [
+          r.index;
+          List.length r.deliveries;
+          Option.value ~default:0 (Hashtbl.find_opt live r.index);
+        ])
     sched.rounds;
   table

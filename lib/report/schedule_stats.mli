@@ -29,11 +29,8 @@ type occupancy = {
 
 val occupancy : Padr.Schedule.t -> occupancy
 
-val per_round_table :
-  ?log:Cst.Exec_log.t -> ?from:int -> Padr.Schedule.t -> Table.t
+val per_round_table : Padr.Schedule.t -> Table.t
 (** Columns: round, communications, live switch connections at the end
-    of that round.  Read from the schedule's configuration snapshots
-    when present; for schedules built with [keep_configs:false] the
-    snapshots are absent and the counts are replayed from [log]
-    (starting at cursor [from]) instead.  With neither snapshot nor
-    log, the column reads 0. *)
+    of that round, streamed from the schedule's log
+    ({!Padr.Schedule.fold_configs}).  The last column reads 0 for a
+    schedule that retains no log. *)

@@ -42,7 +42,7 @@ let run_padr (trace : Traffic.t) =
         let run net layers =
           List.fold_left
             (fun (w, r, c) layer ->
-              let s = Padr.Csa.run_exn ~keep_configs:false ~net topo layer in
+              let s = Padr.Csa.run_exn ~net topo layer in
               (w + 1, r + Padr.Schedule.num_rounds s, c + s.cycles))
             (0, 0, 0) layers
         in

@@ -9,6 +9,12 @@ let topo leaves = Cst.Topology.create ~leaves
 let schedule ?leaves ~n pairs =
   Padr.schedule_exn ?leaves (set ~n pairs)
 
+(* Every round's streamed configuration snapshot, as (index, live). *)
+let snapshots sched =
+  List.rev
+    (Padr.Schedule.fold_configs sched ~init:[] ~f:(fun acc index live ->
+         (index, live) :: acc))
+
 let check_verified ?(msg = "schedule verifies") sched =
   let report = Padr.verify sched in
   Alcotest.(check bool)

@@ -179,7 +179,7 @@ let prop_replay_fresh =
           match PC.decode (PC.encode plan) with
           | Error _ -> false
           | Ok d ->
-              let r = Padr.Plan.replay ~keep_configs:false d t s in
+              let r = Padr.Plan.replay d t s in
               Cst.Exec_log.digest r.log = Cst.Exec_log.digest fresh))
 
 let prop_log_roundtrip =

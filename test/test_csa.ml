@@ -104,10 +104,22 @@ let test_cycles_formula () =
   (* levels + rounds * (levels + 1) with levels = 4, rounds = 2 *)
   check_int "cycles" (4 + (2 * 5)) s.cycles
 
+(* [Schedule.of_log ~keep_configs:false] retains no log: the schedule
+   streams no snapshot, and every other field equals the default
+   derivation's. *)
 let test_keep_configs_off () =
   let st = set ~n:8 [ (0, 7) ] in
-  let s = Padr.Csa.run_exn ~keep_configs:false (topo 8) st in
-  check_int "no snapshots" 0 (Array.length s.rounds.(0).configs);
+  let log = Cst.Exec_log.create () in
+  let full = Padr.Csa.run_exn ~log (topo 8) st in
+  let s =
+    Padr.Schedule.of_log ~keep_configs:false ~set:st ~topo:(topo 8)
+      ~cycles:full.cycles log
+  in
+  check_int "snapshots by default" 1 (List.length (snapshots full));
+  check_true "no log retained" (Option.is_none s.source);
+  check_int "no snapshots" 0 (List.length (snapshots s));
+  check_true "same rounds" (s.rounds = full.rounds);
+  check_true "same power" (s.power = full.power);
   (* verification still passes minus the replay check *)
   check_verified s
 

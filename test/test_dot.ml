@@ -17,9 +17,9 @@ let test_topology_export () =
 let test_net_export_paths () =
   let s = schedule ~n:8 [ (0, 7) ] in
   let net = Cst.Net.create (topo 8) in
-  Array.iter
+  List.iter
     (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg)
-    s.rounds.(0).configs;
+    (List.assoc 1 (snapshots s));
   let txt = Cst.Dot.of_net net in
   check_true "xlabel for a live connection" (contains ~sub:"xlabel=\"L>" txt);
   check_true "path from source" (contains ~sub:"pe0 -> n4" txt);

@@ -1,8 +1,8 @@
 (* Schedule-equivalence guard: the sparse-frontier engine (Engine.run)
    must be observationally identical to the dense reference sweep
-   (Engine.run_dense) — same rounds, sources, dests, deliveries, configs,
-   power, cycles and engine stats — across a broad randomized sweep of
-   sizes, densities and widths. *)
+   (Engine.run_dense) — same rounds, sources, dests, deliveries, streamed
+   config snapshots, power, cycles and engine stats — across a broad
+   randomized sweep of sizes, densities and widths. *)
 
 open Helpers
 
@@ -28,15 +28,25 @@ let check_round msg (a : Padr.Schedule.round) (b : Padr.Schedule.round) =
   check_int (msg ^ ": index") a.index b.index;
   check_true (msg ^ ": sources") (a.sources = b.sources);
   check_true (msg ^ ": dests") (a.dests = b.dests);
-  check_true (msg ^ ": deliveries") (a.deliveries = b.deliveries);
-  check_int (msg ^ ": config count") (Array.length a.configs)
-    (Array.length b.configs);
-  Array.iteri
-    (fun i (node_a, cfg_a) ->
-      let node_b, cfg_b = b.configs.(i) in
-      check_int (msg ^ ": config node") node_a node_b;
-      check_true (msg ^ ": config value") (Cst.Switch_config.equal cfg_a cfg_b))
-    a.configs
+  check_true (msg ^ ": deliveries") (a.deliveries = b.deliveries)
+
+(* Streamed configuration snapshots, round by round. *)
+let check_snapshots msg a b =
+  let sa = snapshots a and sb = snapshots b in
+  check_int (msg ^ ": snapshot rounds") (List.length sa) (List.length sb);
+  List.iter2
+    (fun (index_a, live_a) (index_b, live_b) ->
+      let msg = Printf.sprintf "%s round %d" msg index_a in
+      check_int (msg ^ ": snapshot index") index_a index_b;
+      check_int (msg ^ ": config count") (List.length live_a)
+        (List.length live_b);
+      List.iter2
+        (fun (node_a, cfg_a) (node_b, cfg_b) ->
+          check_int (msg ^ ": config node") node_a node_b;
+          check_true (msg ^ ": config value")
+            (Cst.Switch_config.equal cfg_a cfg_b))
+        live_a live_b)
+    sa sb
 
 let check_equiv msg topo set =
   let dense, dstats = Padr.Engine.run_dense_exn topo set in
@@ -49,6 +59,7 @@ let check_equiv msg topo set =
     (fun i r -> check_round (Printf.sprintf "%s round %d" msg i) r
         sparse.rounds.(i))
     dense.rounds;
+  check_snapshots msg dense sparse;
   check_power msg dense.power sparse.power;
   check_int (msg ^ ": stat cycles") dstats.cycles sstats.cycles;
   check_int (msg ^ ": stat messages") dstats.control_messages
@@ -93,21 +104,25 @@ let test_degenerate () =
   (* a set smaller than the tree it runs on *)
   check_equiv "oversized tree" (topo 64) (set ~n:8 [ (1, 2); (4, 7) ])
 
-(* Engine.run and Engine.run_dense also keep matching the functional
-   spec's no-config view when snapshots are disabled. *)
+(* A schedule derived with [Schedule.of_log ~keep_configs:false] retains
+   no log: neither engine's run then streams a snapshot, and the
+   deliveries still match round for round. *)
 let test_keep_configs_false () =
   let t = topo 32 in
   let rng = Cst_util.Prng.create 99 in
   let s = Cst_workloads.Gen_wn.uniform rng ~n:32 ~density:0.8 in
-  let dense, _ = Padr.Engine.run_dense_exn ~keep_configs:false t s in
-  let sparse, _ = Padr.Engine.run_exn ~keep_configs:false t s in
-  Array.iteri
-    (fun i (r : Padr.Schedule.round) ->
-      check_int "no dense configs" 0 (Array.length r.configs);
-      check_int "no sparse configs" 0
-        (Array.length sparse.rounds.(i).configs);
-      check_true "deliveries" (r.deliveries = sparse.rounds.(i).deliveries))
-    dense.rounds
+  let bare run =
+    let log = Cst.Exec_log.create () in
+    let sched : Padr.Schedule.t = fst (run log) in
+    Padr.Schedule.of_log ~keep_configs:false ~set:s ~topo:t
+      ~cycles:sched.cycles log
+  in
+  let dense = bare (fun log -> Padr.Engine.run_dense_exn ~log t s) in
+  let sparse = bare (fun log -> Padr.Engine.run_exn ~log t s) in
+  check_true "no dense snapshots" (snapshots dense = []);
+  check_true "no sparse snapshots" (snapshots sparse = []);
+  check_true "rounds" (dense.rounds = sparse.rounds);
+  check_true "rounds scheduled" (Padr.Schedule.num_rounds dense > 0)
 
 (* Satellite of the Stalled error work: generator-produced well-nested
    sets can never stall either engine (Theorem 4 progress guarantee). *)

@@ -82,6 +82,10 @@ let agrees name (sched : Padr.Schedule.t) log =
     QCheck.Test.fail_reportf "%s: writes %d <> log %d" name
       sched.power.total_writes w;
   let views = rounds_of_log log in
+  let streamed = Array.of_list (snapshots sched) in
+  if Array.length streamed <> List.length views then
+    QCheck.Test.fail_reportf "%s: %d streamed snapshots <> log %d" name
+      (Array.length streamed) (List.length views);
   if Array.length sched.rounds <> List.length views then
     QCheck.Test.fail_reportf "%s: %d rounds <> log %d" name
       (Array.length sched.rounds) (List.length views);
@@ -92,8 +96,8 @@ let agrees name (sched : Padr.Schedule.t) log =
         QCheck.Test.fail_reportf "%s: round %d index mismatch" name i;
       if r.deliveries <> rv.deliveries then
         QCheck.Test.fail_reportf "%s: round %d deliveries mismatch" name i;
-      if r.configs <> Array.of_list rv.live then
-        QCheck.Test.fail_reportf "%s: round %d configs mismatch" name i)
+      if streamed.(i) <> (rv.index, rv.live) then
+        QCheck.Test.fail_reportf "%s: round %d snapshot mismatch" name i)
     views;
   true
 

@@ -146,6 +146,32 @@ let test_translated_replay_engine () =
       ~n:128
   done
 
+(* A hit at the compiled placement and tree size shares the cached
+   plan's arena; it, and a translated hit, stream exactly the config
+   snapshots of a fresh engine run. *)
+let test_replay_hits_stream_fresh_snapshots () =
+  let topo = Cst.Topology.create ~leaves:64 in
+  let fresh set = snapshots (fst (Padr.Engine.run_exn topo set)) in
+  for seed = 1 to 10 do
+    let s = embedded_set ~seed ~m:16 ~n:64 in
+    let plan = Result.get_ok (Padr.Plan.compile topo s) in
+    let home = Padr.Plan.replay plan topo s in
+    check_true "the hit shares the plan's arena"
+      (match home.schedule.source with
+      | Some src -> src.log == plan.log
+      | None -> false);
+    check_true
+      (Printf.sprintf "compiled-placement snapshots (seed %d)" seed)
+      (snapshots home.schedule = fresh s);
+    check_true "snapshots present"
+      (Cst_comm.Comm_set.size s = 0 || snapshots home.schedule <> []);
+    let align = Cst.Canon.align (Cst.Canon.place s).canon in
+    let t = Cst_workloads.Gen_wn.translate ~by:(2 * align) s in
+    check_true
+      (Printf.sprintf "translated snapshots (seed %d)" seed)
+      (snapshots (Padr.Plan.replay plan topo t).schedule = fresh t)
+  done
+
 let cross_size_replay producer ~seed =
   (* Compile on a 64-leaf tree, replay onto 512 leaves (same and shifted
      placement): cycles and control messages come from the producer's
@@ -398,7 +424,7 @@ let test_relocate_matches_replay () =
             if placed.base + by + align <= n then begin
               let t = embed ~n ~by s in
               let relocated = Padr.Plan.relocate plan topo t in
-              let replayed = Padr.Plan.replay ~keep_configs:false plan topo t in
+              let replayed = Padr.Plan.replay plan topo t in
               check_true
                 (Printf.sprintf "relocate = replay log (seed %d, %d+%d)" seed
                    n by)
@@ -462,6 +488,8 @@ let suite =
     prop "replay == fresh run (engine)" ~count:100 (replay_equals_fresh Engine);
     case "translated replay == fresh (spec)" test_translated_replay_spec;
     case "translated replay == fresh (engine)" test_translated_replay_engine;
+    case "replay hits stream fresh snapshots"
+      test_replay_hits_stream_fresh_snapshots;
     case "cross-size replay (spec)" test_cross_size_spec;
     case "cross-size replay (engine)" test_cross_size_engine;
     case "registry algorithms replay translated"

@@ -86,18 +86,39 @@ let test_per_round_table () =
   check_int "a row per round" 2 (Cst_report.Table.row_count t)
 
 let test_per_round_table_no_snapshots () =
-  (* keep_configs:false leaves no snapshots in the schedule; the
-     live-connections column must be replayed from the execution log
-     and match the snapshot-backed table exactly. *)
+  (* The live-connections column is streamed from the schedule's log:
+     it equals a count taken straight from the log's round views, and
+     reads 0 for a schedule derived with [~keep_configs:false], which
+     retains no log. *)
   let st = set ~n:8 [ (0, 7); (1, 2) ] in
   let log = Cst.Exec_log.create () in
-  let bare = Padr.Csa.run_exn ~keep_configs:false ~log (topo 8) st in
-  check_int "no snapshots" 0 (Array.length bare.rounds.(0).configs);
-  let full = Padr.Csa.run_exn (topo 8) st in
-  let expected = Cst_report.Schedule_stats.per_round_table full in
-  let derived = Cst_report.Schedule_stats.per_round_table ~log bare in
-  check_true "log fills the live-connections column"
-    (Cst_report.Table.render derived = Cst_report.Table.render expected)
+  let full = Padr.Csa.run_exn ~log (topo 8) st in
+  let bare =
+    Padr.Schedule.of_log ~keep_configs:false ~set:st ~topo:(topo 8)
+      ~cycles:full.cycles log
+  in
+  let table live =
+    let t =
+      Cst_report.Table.create ~title:"per-round detail"
+        ~columns:[ "round"; "comms"; "live connections" ]
+    in
+    Cst.Exec_log.fold_rounds log ~init:() ~f:(fun () rv ->
+        Cst_report.Table.add_int_row t
+          [ rv.index; List.length rv.deliveries; live rv ]);
+    Cst_report.Table.render t
+  in
+  let connections (rv : Cst.Exec_log.round_view) =
+    List.fold_left
+      (fun acc (_, cfg) -> acc + Cst.Switch_config.connection_count cfg)
+      0 rv.live
+  in
+  let render s =
+    Cst_report.Table.render (Cst_report.Schedule_stats.per_round_table s)
+  in
+  check_true "streamed from the log" (render full = table connections);
+  check_true "zero without a log" (render bare = table (fun _ -> 0));
+  check_true "the counts are not all zero"
+    (table connections <> table (fun _ -> 0))
 
 let test_max_link_use_equals_width_prop () =
   let rng = Cst_util.Prng.create 404 in

@@ -20,10 +20,28 @@ let test_pp_smoke () =
 
 let test_round_snapshot_nonempty () =
   let s = sched () in
-  Array.iter
-    (fun (r : Padr.Schedule.round) ->
-      check_true "has configs" (Array.length r.configs > 0))
-    s.rounds
+  let snaps = snapshots s in
+  check_true "a snapshot per round, in order"
+    (List.map fst snaps
+    = Array.to_list (Array.map (fun (r : Padr.Schedule.round) -> r.index) s.rounds));
+  List.iter (fun (_, live) -> check_true "has configs" (live <> [])) snaps
+
+(* Runs on one net share its log.  A schedule's range ends where its run
+   did: a later run's events never reach an earlier schedule's
+   snapshots, while the later run sees the earlier one's carried-over
+   connections. *)
+let test_shared_net_snapshots () =
+  let t = topo 8 in
+  let net = Cst.Net.create t in
+  let switches s = List.map fst (List.concat_map snd (snapshots s)) in
+  let first = Padr.Csa.run_exn ~net t (set ~n:8 [ (0, 1) ]) in
+  let before = snapshots first in
+  let second = Padr.Csa.run_exn ~net t (set ~n:8 [ (6, 7) ]) in
+  check_true "earlier run unchanged" (snapshots first = before);
+  check_true "earlier run: its own switch" (switches first = [ 4 ]);
+  check_true "later run: carried-over switch too" (switches second = [ 4; 7 ]);
+  check_verified first;
+  check_verified second
 
 let test_combine_power_accumulates () =
   let s = sched () in
@@ -40,6 +58,27 @@ let test_combine_power_accumulates () =
     same.total_connects;
   check_int "zero is neutral for maxima" s.power.max_connects_per_switch
     same.max_connects_per_switch
+
+(* A switch busy in both parts: its combined count is the sum, so the
+   combined maximum exceeds either part's own maximum. *)
+let test_combine_power_shared_switch () =
+  let part connects =
+    {
+      (Padr.Schedule.zero_power ~num_nodes:3) with
+      total_connects = Array.fold_left ( + ) 0 connects;
+      max_connects_per_switch = Array.fold_left max 0 connects;
+      max_events_per_switch = Array.fold_left max 0 connects;
+      per_switch_connects = connects;
+    }
+  in
+  let a = part [| 0; 2; 3; 0 |] and b = part [| 0; 2; 0; 1 |] in
+  let c = Padr.Schedule.combine_power a b in
+  check_true "arrays add" (c.per_switch_connects = [| 0; 4; 3; 1 |]);
+  check_int "combined max" 4 c.max_connects_per_switch;
+  check_int "combined events max" 4 c.max_events_per_switch;
+  check_true "above either part's"
+    (c.max_connects_per_switch
+    > max a.max_connects_per_switch b.max_connects_per_switch)
 
 let test_mirror_power_preserves_totals () =
   let s = sched () in
@@ -91,7 +130,9 @@ let suite =
     case "deliveries per round" test_deliveries_per_round;
     case "pp smoke" test_pp_smoke;
     case "round snapshots" test_round_snapshot_nonempty;
+    case "shared-net snapshots" test_shared_net_snapshots;
     case "combine_power accumulates" test_combine_power_accumulates;
+    case "combine_power shared switch" test_combine_power_shared_switch;
     case "mirror_power preserves totals" test_mirror_power_preserves_totals;
     case "trace of_log" test_trace_of_log;
     case "trace of empty log" test_trace_of_empty_log;

@@ -170,13 +170,16 @@ let test_segmented_equals_engine =
    under [Segmented] is served entirely from relocated block logs; that
    outcome must equal the sequential engine's in everything the service
    reports: the canonical line, every round of the schedule (sources,
-   dests, deliveries and config snapshots) and the power record — every
-   total, every maximum and the three per-switch arrays. *)
+   dests and deliveries), the config snapshots streamed from its log and
+   the power record — every total, every maximum and the three
+   per-switch arrays. *)
 let same_served (e : Service.job_result) (h : Service.job_result) =
   let line r = Service.outcome_to_string { job_id = 0; result = Ok r } in
   match (e.detail, h.detail) with
   | Sched a, Sched b ->
-      line e = line h && a.rounds = b.rounds && e.power = h.power
+      line e = line h && a.rounds = b.rounds
+      && snapshots a = snapshots b
+      && e.power = h.power
   | _ -> false
 
 let engine_result s =
@@ -521,6 +524,27 @@ let test_oversized_plan_not_admitted () =
   check_int "nothing resident" 0 st.entries;
   check_int "nothing counted as evicted" 0 st.evictions
 
+(* A full onion keeps every switch of its path stack live for all its
+   rounds.  Copying each round's live configurations into the schedule
+   cost O(rounds x live) — ~194 M words per job here — so the job's
+   allocation must stay near O(events + tree). *)
+let test_full_onion_allocation () =
+  let s = Cst_workloads.Gen_wn.onion ~n:4096 ~width:2048 in
+  List.iter
+    (fun engine ->
+      let job = Service.job ~engine ~id:0 ~algo:"csa" s in
+      let w0 = Gc.minor_words () in
+      let r = Service.run_job job in
+      let words = Gc.minor_words () -. w0 in
+      match r with
+      | Error e -> Alcotest.failf "onion job failed: %a" Service.pp_error e
+      | Ok r ->
+          check_int "rounds" 2048 r.rounds;
+          check_true
+            (Printf.sprintf "%.1f M words allocated (bound 32 M)" (words /. 1e6))
+            (words < 32e6))
+    [ Service.Message_passing; Service.Segmented ]
+
 let suite =
   [
     test_parallel_equals_sequential;
@@ -545,4 +569,5 @@ let suite =
     case "plan cache LRU eviction" test_plan_cache_lru;
     case "plan cache duplicate insert" test_plan_cache_duplicate_add;
     case "oversized plan not admitted" test_oversized_plan_not_admitted;
+    case "4096-PE full onion allocates O(events)" test_full_onion_allocation;
   ]

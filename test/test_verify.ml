@@ -44,8 +44,8 @@ let test_detects_conflicting_round () =
   in
   let rounds =
     [|
-      { s.rounds.(0) with deliveries = all; configs = [||] };
-      { s.rounds.(1) with deliveries = []; configs = [||] };
+      { s.rounds.(0) with deliveries = all };
+      { s.rounds.(1) with deliveries = [] };
     |]
   in
   let r = Padr.verify { s with rounds } in
@@ -70,26 +70,32 @@ let test_detects_power_blowup () =
   check_true "rejected" (not r.ok)
 
 let test_detects_replay_divergence () =
-  (* Corrupt a stored configuration so the replay no longer delivers. *)
+  (* Drop the first [Connect] of round 1 from a copy of the schedule's
+     log: round 1's streamed snapshot then lacks a connection, so the
+     physical replay no longer delivers.  Rounds and power are left as
+     derived, so only the replay can notice. *)
   let s = good () in
-  let rounds =
-    Array.map
-      (fun (r : Padr.Schedule.round) ->
-        if r.index = 1 then { r with configs = [||] } else r)
-      s.rounds
+  let src = Option.get s.source in
+  let rec first_connect i in_round_1 =
+    match Cst.Exec_log.event src.log i with
+    | Cst.Exec_log.Round_begin { index } -> first_connect (i + 1) (index = 1)
+    | Cst.Exec_log.Connect _ when in_round_1 -> i
+    | _ -> first_connect (i + 1) in_round_1
   in
-  (* With the snapshots dropped the replay check is skipped, so instead
-     swap in an empty-but-present config for the root. *)
-  let rounds2 =
-    Array.map
-      (fun (r : Padr.Schedule.round) ->
-        if r.index = 1 then
-          { r with configs = [| (1, Cst.Switch_config.empty) |] }
-        else r)
-      rounds
+  let drop = first_connect src.from false in
+  let copy = Cst.Exec_log.create () in
+  for i = 0 to Cst.Exec_log.length src.log - 1 do
+    if i <> drop then Cst.Exec_log.append copy (Cst.Exec_log.event src.log i)
+  done;
+  let r =
+    Padr.verify
+      { s with source = Some { src with log = copy; upto = src.upto - 1 } }
   in
-  let r = Padr.verify { s with rounds = rounds2 } in
-  check_true "rejected" (not r.ok)
+  check_true "rejected" (not r.ok);
+  check_true "by the replay"
+    (List.mem "round 1: replaying the logged configurations diverges"
+       r.issues);
+  check_true "the intact log verifies" (Padr.verify s).ok
 
 let test_custom_power_bound () =
   let s = good () in
