@@ -1,1320 +1,545 @@
 (* Perf-regression gate over BENCH_engine.json files.
 
-   Usage:
-     check_regression.exe --validate FILE [--out VERDICT.json]
-         Parse a benchmark JSON file and verify it is structurally sound
-         (>= 1 result row, positive finite timings) and that the
-         headline claims hold: plan-cache replay at least 3x faster than
-         compile with at least an 80% hit rate on the repetitive
-         translated trace, and the segment-parallel engine correct
-         (merged digest identical to the sequential engine's, per-block
-         work summing to the sequential run's) with a domains:1 overhead
-         of at most 10% over the sequential engine.  The overhead gate
-         applies only to full-size runs ("fast": false): on the --fast
-         smoke grid the blocks are so small that the constant
-         per-block cost dominates.  Streaming rows are validated too:
-         sane sojourn percentiles and throughput, epochs within [1,
-         jobs] (exactly jobs under the immediate policy), and the
-         delta-aware admission policy beating immediate on total power
-         on the bursty trace at domains:1.  Used by the `bench-smoke`
-         runtest rule on the --fast --json output and on the committed
-         baseline.
+   check_regression.exe --validate FILE [--out VERDICT.json]
+     Every section of [table] must be present and every invariant must
+     hold: sane timings and rates, the correctness certificates, and the
+     headline claims (plan-cache replay >= 3x compile with >= 80% hits,
+     rounds = width on every tree shape and ceil(bin/c) on a capacity-c
+     fat tree, delta admission beating immediate on the bursty trace, the
+     placement optimizer's width and power wins).  Full-size-only gates
+     are skipped on --fast files; the multi-domain scaling gate is skipped
+     at nproc=1.
 
-     check_regression.exe BASELINE FRESH [--threshold PCT] [--out VERDICT.json]
-         Compare a fresh run against the committed baseline: any timed
-         kernel (matched on kernel/pes/width) slower by more than PCT
-         percent (default 25) fails with exit code 1, and any
-         service_throughput row (matched on pes/domains) with more than
-         PCT percent fewer jobs/sec does too.  The log-append rate, the
-         plan-cache compile/replay times, the trace hit rate and the
-         segment-parallel timings are gated the same way.  A row present
-         in the baseline but missing from the fresh run also fails — a
-         silently dropped kernel is not a passing one.
+   check_regression.exe BASELINE FRESH [--threshold PCT] [--out VERDICT.json]
+     Each baseline row is matched by its section's key fields.  A compared
+     metric more than PCT percent (default 25) worse, a lost correctness
+     certificate or a baseline row missing from the fresh run fails.
+     Multi-domain rows are skipped while either file was taken at nproc=1.
 
-   Every violated gate is reported on its own line naming the section
-   and metric ("check_regression: FAIL <section>/<metric>: ..."), and a
-   one-line summary with the violation count closes the report before
-   the non-zero exit.  With --out, a machine-readable verdict — mode,
-   pass/fail and the full violation list — is also written to the named
-   file (written on success too, so CI can always collect it).
+   Each violated gate is reported on its own line ("check_regression: FAIL
+   <gate>: <detail>"), then a summary line, then exit 1.  With --out, a
+   machine-readable verdict listing every evaluated gate as pass, fail or
+   skipped is written, on success too.  bench/main.ml writes one JSON
+   object per line, so a small line scanner reads the file and no JSON
+   library is needed. *)
 
-   The parser is deliberately line-based: bench/main.ml emits exactly one
-   result object per line, so no JSON dependency is needed. *)
+(* --- Reading a bench file --------------------------------------------- *)
 
-type row = { kernel : string; pes : int; width : int; ns_per_op : float }
+type value = Num of float | Str of string | Bool of bool | Other
+type row = (string * value) list
 
-type service_row = {
-  srv_domains : int;
-  srv_pes : int;
-  srv_jobs_per_sec : float;
-}
+exception Malformed
 
-type log_row = {
-  lg_pes : int;
-  lg_ns_per_append : float;
-  lg_bytes_per_event : float;
-}
+let rec skip_ws s i = if s.[i] = ' ' then skip_ws s (i + 1) else i
 
-type cache_row = {
-  pc_pes : int;
-  pc_compile_ns : float;
-  pc_replay_ns : float;
-  pc_hit_rate : float;
-}
-
-type par_row = {
-  pr_pes : int;
-  pr_seq_ns : float;
-  pr_par_d1_ns : float;
-  pr_overhead : float;
-  pr_digest_match : bool;
-  pr_work_conserved : bool;
-}
-
-type store_row = {
-  ps_pes : int;
-  ps_recompile_ns : float;
-  ps_warm_ns : float;
-  ps_codec_ns_per_event : float;
-  ps_digest_ok : bool;
-}
-
-(* One streaming-scheduler replay: (process, policy, domains, pes) is the
-   row key.  "policy" is the family name (immediate | quantum | delta) —
-   the only row kind in the file carrying that field, which is how the
-   parser recognizes these. *)
-type stream_row = {
-  sr_process : string;
-  sr_policy : string;
-  sr_domains : int;
-  sr_pes : int;
-  sr_jobs : int;
-  sr_p50_ms : float;
-  sr_p99_ms : float;
-  sr_jobs_per_sec : float;
-  sr_epochs : int;
-  sr_total_power : float;
-}
-
-(* One virtual-clock streaming replay (schema v3+): same key fields as
-   a streaming row, but recognized by carrying "wall_s" and no
-   "p99_ms" — virtual sojourns are not wall-clock quantities, so the
-   producer omits the percentile fields. *)
-type virt_row = {
-  vr_process : string;
-  vr_policy : string;
-  vr_domains : int;
-  vr_pes : int;
-  vr_jobs : int;
-  vr_epochs : int;
-  vr_wall_s : float;
-  vr_jobs_per_sec : float;
-}
-
-(* One placement trace (schema v3+), keyed on the "trace" field — no
-   other row carries one.  Widths are sums over the trace, so by
-   Theorem 5 they are total rounds under each mapping. *)
-type place_row = {
-  pl_trace : string;
-  pl_pes : int;
-  pl_width_identity : int;
-  pl_width_static : int;
-  pl_width_auto : int;
-  pl_ratio : float;
-  pl_power_identity : int;
-  pl_power_static : int;
-  pl_remaps : int;
-  pl_digest_ok : bool;
-}
-
-(* One row per tree shape from the topology section (schema v2+): the
-   fixed onion trace scheduled on binary, k-ary and capacity-weighted
-   fat trees.  Keyed on the "shape" field — no other row carries one. *)
-type topo_row = {
-  tp_shape : string;
-  tp_pes : int;
-  tp_cap : int;
-  tp_width : int;
-  tp_rounds : int;
-  tp_connects : int;
-  tp_writes : int;
-  tp_ns : float;
-}
-
-let find_field line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat in
-  let rec search i =
-    if i + plen > String.length line then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else search (i + 1)
-  in
-  search 0
-
-let string_field line key =
-  match find_field line key with
-  | None -> None
-  | Some start ->
-      if start >= String.length line || line.[start] <> '"' then None
-      else
-        let rec close i =
-          if i >= String.length line then None
-          else if line.[i] = '"' then Some (String.sub line (start + 1) (i - start - 1))
-          else close (i + 1)
-        in
-        close (start + 1)
-
-let number_field line key =
-  match find_field line key with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length line
-        && (match line.[!stop] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr stop
+(* [value s i] scans the JSON value starting at [s.[i]] and returns it
+   with the index just past it.  Nested arrays and objects (par_engine's
+   grid) read as [Other]. *)
+let rec value s i =
+  match s.[i] with
+  | '"' ->
+      let j = String.index_from s (i + 1) '"' in
+      (Str (String.sub s (i + 1) (j - i - 1)), j + 1)
+  | '{' -> (Other, snd (fields s i))
+  | '[' -> (Other, items s (i + 1) ']' (fun j -> snd (value s j)))
+  | _ ->
+      let j = ref i in
+      while !j < String.length s && not (String.contains ",}] " s.[!j]) do
+        incr j
       done;
-      if !stop = start then None
-      else float_of_string_opt (String.sub line start (!stop - start))
-
-let bool_field line key =
-  match find_field line key with
-  | None -> None
-  | Some start ->
-      let has lit =
-        start + String.length lit <= String.length line
-        && String.sub line start (String.length lit) = lit
+      let v =
+        match String.sub s i (!j - i) with
+        | "true" -> Bool true
+        | "false" -> Bool false
+        | tok -> (
+            match float_of_string_opt tok with Some x -> Num x | None -> Other)
       in
-      if has "true" then Some true else if has "false" then Some false else None
+      (v, !j)
 
-type parsed = {
-  rows : row list;
-  service : service_row list;
-  streaming : stream_row list;
-  streaming_virtual : virt_row list;
-  placement : place_row list;
-  log_overhead : log_row option;
-  plan_cache : cache_row option;
-  par_engine : par_row option;
-  plan_store : store_row list;
-  topology : topo_row list;
-  schema : string option;
-      (** the producing file's schema tag; topology rows are required
-          from ["cst-padr/bench-engine/v2"] on and merely tolerated as
-          absent in v1 files (the committed baselines) *)
+(* Comma-separated items up to [close]; [item] scans one and returns the
+   index after it. *)
+and items s i close item =
+  let i = skip_ws s i in
+  if s.[i] = close then i + 1
+  else
+    let i = skip_ws s (item i) in
+    if s.[i] = ',' then items s (i + 1) close item
+    else if s.[i] = close then i + 1
+    else raise Malformed
+
+and fields s i =
+  let acc = ref [] in
+  let stop =
+    items s (i + 1) '}' (fun j ->
+        match value s j with
+        | Str k, j ->
+            let j = skip_ws s j in
+            if s.[j] <> ':' then raise Malformed;
+            let v, j = value s (skip_ws s (j + 1)) in
+            acc := (k, v) :: !acc;
+            j
+        | _ -> raise Malformed)
+  in
+  (List.rev !acc, stop)
+
+type file = {
+  path : string;
   fast : bool;
   nproc : int option;
-      (** core count of the producing host; [None] on files predating
-          the metadata.  Multi-domain gates are skipped at nproc=1: a
-          single-core host cannot scale, so its multi-domain rows
-          measure contention, not capability. *)
+      (** core count of the producing host.  At nproc=1 a multi-domain
+          row measures contention, not capability. *)
+  sections : (string * row list) list;
 }
 
-let parse_rows file =
-  let ic = open_in file in
-  let rows = ref [] in
-  let service = ref [] in
-  let streaming = ref [] in
-  let streaming_virtual = ref [] in
-  let placement = ref [] in
-  let log_overhead = ref None in
-  let plan_cache = ref None in
-  let par_engine = ref None in
-  let plan_store = ref [] in
-  let topology = ref [] in
-  let schema = ref None in
-  let fast = ref false in
-  let nproc = ref None in
+(* Top-level lines are ["name": value].  A section is an array whose
+   rows follow one per line until its closing bracket, or a single
+   object on its own header line. *)
+let parse path =
+  let ic = open_in path in
+  let meta = ref [] and sections = Hashtbl.create 16 and current = ref None in
+  let add name row =
+    Hashtbl.replace sections name
+      (row :: Option.value ~default:[] (Hashtbl.find_opt sections name))
+  in
   (try
      while true do
-       let line = input_line ic in
-       (match (string_field line "schema", bool_field line "fast") with
-       | Some s, _ -> if !schema = None then schema := Some s
-       | None, Some f -> fast := f
-       | None, None -> ());
-       (* the top-level metadata line — no benchmark row carries nproc *)
-       (match (number_field line "nproc", find_field line "pes") with
-       | Some n, None -> nproc := Some (int_of_float n)
-       | _ -> ());
-       match string_field line "shape" with
-       | Some shape ->
-           let num ~default key =
-             Option.value ~default (number_field line key)
-           in
-           let int ~default key = int_of_float (num ~default key) in
-           topology :=
-             {
-               tp_shape = shape;
-               tp_pes = int ~default:0.0 "pes";
-               tp_cap = int ~default:0.0 "cap";
-               tp_width = int ~default:0.0 "width";
-               tp_rounds = int ~default:0.0 "rounds";
-               tp_connects = int ~default:(-1.0) "connects";
-               tp_writes = int ~default:(-1.0) "writes";
-               tp_ns =
-                 Option.value ~default:(-1.0) (number_field line "ns_per_op");
-             }
-             :: !topology
-       | None -> (
-       match string_field line "trace" with
-       | Some trace ->
-           let num ~default key =
-             Option.value ~default (number_field line key)
-           in
-           let int ~default key = int_of_float (num ~default key) in
-           placement :=
-             {
-               pl_trace = trace;
-               pl_pes = int ~default:0.0 "pes";
-               pl_width_identity = int ~default:(-1.0) "width_identity";
-               pl_width_static = int ~default:(-1.0) "width_static";
-               pl_width_auto = int ~default:(-1.0) "width_auto";
-               pl_ratio = num ~default:(-1.0) "ratio";
-               pl_power_identity = int ~default:(-1.0) "power_identity";
-               pl_power_static = int ~default:(-1.0) "power_static";
-               pl_remaps = int ~default:(-1.0) "remaps";
-               pl_digest_ok =
-                 Option.value ~default:false (bool_field line "digest_ok");
-             }
-             :: !placement
-       | None -> (
-       match
-         (string_field line "policy", number_field line "p99_ms")
-       with
-       | Some policy, Some p99_ms ->
-           let num ~default key =
-             Option.value ~default (number_field line key)
-           in
-           streaming :=
-             {
-               sr_process =
-                 Option.value ~default:"?" (string_field line "process");
-               sr_policy = policy;
-               sr_domains = int_of_float (num ~default:0.0 "domains");
-               sr_pes = int_of_float (num ~default:0.0 "pes");
-               sr_jobs = int_of_float (num ~default:0.0 "jobs");
-               sr_p50_ms = num ~default:(-1.0) "p50_ms";
-               sr_p99_ms = p99_ms;
-               sr_jobs_per_sec = num ~default:(-1.0) "jobs_per_sec";
-               sr_epochs = int_of_float (num ~default:(-1.0) "epochs");
-               sr_total_power = num ~default:(-1.0) "total_power";
-             }
-             :: !streaming
-       | _ -> (
-       match
-         (string_field line "policy", number_field line "wall_s")
-       with
-       | Some policy, Some wall_s ->
-           let num ~default key =
-             Option.value ~default (number_field line key)
-           in
-           streaming_virtual :=
-             {
-               vr_process =
-                 Option.value ~default:"?" (string_field line "process");
-               vr_policy = policy;
-               vr_domains = int_of_float (num ~default:0.0 "domains");
-               vr_pes = int_of_float (num ~default:0.0 "pes");
-               vr_jobs = int_of_float (num ~default:0.0 "jobs");
-               vr_epochs = int_of_float (num ~default:(-1.0) "epochs");
-               vr_wall_s = wall_s;
-               vr_jobs_per_sec = num ~default:(-1.0) "jobs_per_sec";
-             }
-             :: !streaming_virtual
-       | _ -> (
-       match
-         (number_field line "recompile_ns", number_field line "warm_ns")
-       with
-       | Some recompile_ns, Some warm_ns ->
-           plan_store :=
-             {
-               ps_pes =
-                 int_of_float
-                   (Option.value ~default:0.0 (number_field line "pes"));
-               ps_recompile_ns = recompile_ns;
-               ps_warm_ns = warm_ns;
-               ps_codec_ns_per_event =
-                 Option.value ~default:(-1.0)
-                   (number_field line "codec_ns_per_event");
-               ps_digest_ok =
-                 Option.value ~default:false (bool_field line "digest_ok");
-             }
-             :: !plan_store
-       | _ -> (
-       match
-         (number_field line "seq_ns", number_field line "par_d1_ns")
-       with
-       | Some seq_ns, Some par_d1_ns ->
-           par_engine :=
-             Some
-               {
-                 pr_pes =
-                   int_of_float
-                     (Option.value ~default:0.0 (number_field line "pes"));
-                 pr_seq_ns = seq_ns;
-                 pr_par_d1_ns = par_d1_ns;
-                 pr_overhead =
-                   Option.value ~default:(-1.0)
-                     (number_field line "overhead");
-                 pr_digest_match =
-                   Option.value ~default:false
-                     (bool_field line "digest_match");
-                 pr_work_conserved =
-                   Option.value ~default:false
-                     (bool_field line "work_conserved");
-               }
-       | _ -> (
-       match
-         (number_field line "compile_ns", number_field line "replay_ns")
-       with
-       | Some compile_ns, Some replay_ns ->
-           plan_cache :=
-             Some
-               {
-                 pc_pes =
-                   int_of_float
-                     (Option.value ~default:0.0 (number_field line "pes"));
-                 pc_compile_ns = compile_ns;
-                 pc_replay_ns = replay_ns;
-                 pc_hit_rate =
-                   Option.value ~default:(-1.0)
-                     (number_field line "hit_rate");
-               }
-       | _ -> (
-       match
-         (number_field line "ns_per_append", number_field line "bytes_per_event")
-       with
-       | Some ns, Some bpe ->
-           let pes = Option.value ~default:0.0 (number_field line "pes") in
-           log_overhead :=
-             Some
-               {
-                 lg_pes = int_of_float pes;
-                 lg_ns_per_append = ns;
-                 lg_bytes_per_event = bpe;
-               }
-       | _ -> (
-       match string_field line "kernel" with
-       | Some kernel -> (
-           match
-             ( number_field line "pes",
-               number_field line "width",
-               number_field line "ns_per_op" )
-           with
-           | Some pes, Some width, Some ns ->
-               rows :=
-                 {
-                   kernel;
-                   pes = int_of_float pes;
-                   width = int_of_float width;
-                   ns_per_op = ns;
-                 }
-                 :: !rows
-           | _ ->
-               Printf.eprintf "check_regression: malformed row in %s: %s\n"
-                 file line;
-               exit 2)
-       | None -> (
-           (* service_throughput rows have no "kernel" field *)
-           match
-             ( number_field line "domains",
-               number_field line "jobs_per_sec" )
-           with
-           | Some d, Some jps ->
-               let pes =
-                 Option.value ~default:0.0 (number_field line "pes")
-               in
-               service :=
-                 {
-                   srv_domains = int_of_float d;
-                   srv_pes = int_of_float pes;
-                   srv_jobs_per_sec = jps;
-                 }
-                 :: !service
-           | _ -> ())))))))))
+       let line = String.trim (input_line ic) in
+       try
+         match (line, !current) with
+         | "", _ -> ()
+         | _, Some name when line.[0] = '{' -> add name (fst (fields line 0))
+         | _ when line.[0] = ']' -> current := None
+         | _ when line.[0] = '"' -> (
+             match value line 0 with
+             | Str name, j ->
+                 let j = skip_ws line (j + 1) in
+                 if line.[j] = '[' && j = String.length line - 1 then
+                   current := Some name
+                 else if line.[j] = '{' then add name (fst (fields line j))
+                 else meta := (name, fst (value line j)) :: !meta
+             | _ -> raise Malformed)
+         | _ -> ()
+       with Malformed | Invalid_argument _ | Not_found ->
+         Printf.eprintf "check_regression: malformed line in %s: %s\n" path
+           line;
+         exit 2
      done
    with End_of_file -> ());
   close_in ic;
   {
-    rows = List.rev !rows;
-    service = List.rev !service;
-    streaming = List.rev !streaming;
-    streaming_virtual = List.rev !streaming_virtual;
-    placement = List.rev !placement;
-    log_overhead = !log_overhead;
-    plan_cache = !plan_cache;
-    par_engine = !par_engine;
-    plan_store = List.rev !plan_store;
-    topology = List.rev !topology;
-    schema = !schema;
-    fast = !fast;
-    nproc = !nproc;
+    path;
+    fast = List.assoc_opt "fast" !meta = Some (Bool true);
+    nproc =
+      (match List.assoc_opt "nproc" !meta with
+      | Some (Num n) -> Some (int_of_float n)
+      | _ -> None);
+    sections =
+      Hashtbl.fold
+        (fun name rows acc -> (name, List.rev rows) :: acc)
+        sections [];
   }
 
-let key r = Printf.sprintf "%s/%d/%d" r.kernel r.pes r.width
-let skey s = Printf.sprintf "service/%d/%dd" s.srv_pes s.srv_domains
+let rows f name = Option.value ~default:[] (List.assoc_opt name f.sections)
 
-let stkey (r : stream_row) =
-  Printf.sprintf "streaming/%s/%s/%d/%dd" r.sr_process r.sr_policy r.sr_pes
-    r.sr_domains
+(* A missing or non-numeric field reads as nan, which fails every "must
+   hold" predicate below. *)
+let num r k = match List.assoc_opt k r with Some (Num x) -> x | _ -> Float.nan
+let str r k = match List.assoc_opt k r with Some (Str s) -> s | _ -> "?"
+let flag r k = List.assoc_opt k r = Some (Bool true)
 
-let tkey (r : topo_row) = Printf.sprintf "topology/%s" r.tp_shape
+(* --- Gates ------------------------------------------------------------ *)
 
-let vkey (r : virt_row) =
-  Printf.sprintf "streaming_virtual/%s/%s/%d/%dd" r.vr_process r.vr_policy
-    r.vr_pes r.vr_domains
+type verdict = Pass | Fail of string | Skipped
 
-let pkey (r : place_row) = Printf.sprintf "placement/%s/%d" r.pl_trace r.pl_pes
+let must ok fmt = Printf.ksprintf (fun d -> if ok then Pass else Fail d) fmt
+let pos x = Float.is_finite x && x > 0.0
 
-(* Violations accumulate as (section/metric, detail): every gate is
-   checked, every failure reported, then one summary line and exit 1. *)
-let violations : (string * string) list ref = ref []
-let fail_gate where detail = violations := (where, detail) :: !violations
+(* A row invariant: [claim] must hold, as [holds] decides from the row's
+   numeric fields.  [holds] reads them through [v], which records them,
+   so a failure's detail echoes every value it looked at.  The gate is
+   skipped where [applies] is false: a trace- or policy-specific claim, a
+   full-size-only gate on a --fast file, or a speedup whose timings are
+   invalid (their own gate reports those). *)
+let inv ?(applies = fun _ _ -> true) name claim holds =
+  ( name,
+    fun f r ->
+      let read = ref [] in
+      let v k =
+        let x = num r k in
+        if not (List.mem_assoc k !read) then read := (k, x) :: !read;
+        x
+      in
+      if not (applies f r) then Skipped
+      else if holds v then Pass
+      else
+        let seen =
+          List.rev_map (fun (k, x) -> Printf.sprintf "%s %g" k x) !read
+        in
+        Fail (Printf.sprintf "%s (%s)" claim (String.concat ", " seen)) )
 
-let json_escape s =
+let positive field = inv field ("bad " ^ field) (fun v -> pos (v field))
+let full_size f _ = not f.fast
+let timed slow quick _ r = pos (num r slow) && pos (num r quick)
+let trace t _ r = str r "trace" = t
+
+let epochs =
+  [
+    inv "epochs" "epochs must lie in [1, jobs]" (fun v ->
+        v "epochs" >= 1.0 && v "epochs" <= v "jobs");
+    inv "epochs"
+      ~applies:(fun _ r -> str r "policy" = "immediate")
+      "immediate must pay one reconfiguration per job"
+      (fun v -> v "epochs" = v "jobs");
+  ]
+
+type better = Lower | Higher
+
+type section = {
+  name : string;
+  prefix : string;  (** a row's gate names start [prefix/key values] *)
+  key : string list;  (** the fields that name a row *)
+  metrics : (string * better) list;  (** compared against a baseline *)
+  certificates : (string * string) list;
+      (** boolean fields that must be true, with what they certify *)
+  multi_domain : bool;  (** rows with domains > 1 are skipped at nproc=1 *)
+  checks : (string * (file -> row -> verdict)) list;
+      (** the validate invariants, evaluated on every row *)
+  cross : file -> row list -> (string * verdict) list;
+      (** validate gates over the section's rows together *)
+}
+
+let section ?prefix ?(key = []) ?(metrics = []) ?(certificates = [])
+    ?(multi_domain = false) ?(cross = fun _ _ -> []) name checks =
+  let prefix = Option.value ~default:name prefix in
+  { name; prefix; key; metrics; certificates; multi_domain; checks; cross }
+
+let row_id s r =
+  String.concat "/"
+    (s.prefix
+    :: List.map
+         (fun k ->
+           match List.assoc_opt k r with
+           | Some (Str v) -> v
+           | Some (Num n) ->
+               Printf.sprintf "%.0f%s" n (if k = "domains" then "d" else "")
+           | _ -> "?")
+         s.key)
+
+(* Running wider must not collapse throughput: per tree size, the best
+   multi-domain rate must reach 90% of the domains:1 rate. *)
+let scaling f rows =
+  List.filter_map
+    (fun r ->
+      let pes = num r "pes" and d1 = num r "jobs_per_sec" in
+      let multi =
+        List.fold_left
+          (fun acc m ->
+            if num m "pes" = pes && num m "domains" > 1.0 then
+              Float.max acc (num m "jobs_per_sec")
+            else acc)
+          neg_infinity rows
+      in
+      if num r "domains" <> 1.0 then None
+      else
+        Some
+          ( Printf.sprintf "service_throughput/%.0f/scaling" pes,
+            if f.nproc = Some 1 || not (Float.is_finite multi) then Skipped
+            else
+              must (multi >= 0.9 *. d1)
+                "best multi-domain throughput %.1f jobs/s is below 90%% of \
+                 the domains:1 rate %.1f"
+                multi d1 ))
+    rows
+
+(* On the bursty trace at domains:1 the delta-aware policy must beat
+   immediate on total power: immediate pays one reconfiguration per job,
+   delta one per burst. *)
+let delta_beats_immediate _ rows =
+  let find policy pes =
+    List.find_opt
+      (fun r ->
+        str r "process" = "bursty" && str r "policy" = policy
+        && num r "domains" = 1.0 && num r "pes" = pes)
+      rows
+  in
+  List.map
+    (fun pes ->
+      match (find "delta" pes, find "immediate" pes) with
+      | Some d, Some i ->
+          let dp = num d "total_power" and ip = num i "total_power" in
+          ( Printf.sprintf "streaming/bursty/%.0f/delta_total_power" pes,
+            must (dp < ip)
+              "delta policy must beat immediate on total power on the \
+               bursty trace: %.1f vs %.1f"
+              dp ip )
+      | _ ->
+          ( Printf.sprintf "streaming/bursty/%.0f" pes,
+            Fail "missing the bursty delta/immediate row pair at domains:1" ))
+    (List.sort_uniq compare (List.map (fun r -> num r "pes") rows))
+
+(* The topology section needs its binary reference row, and a fat tree
+   with uplink capacity c must cut the binary round count to exactly
+   ceil(bin/c): Theorem 5 divided by the oversubscription ratio. *)
+let cap_rounds _ rows =
+  let bin =
+    List.find_opt
+      (fun r -> String.starts_with ~prefix:"bin:" (str r "shape"))
+      rows
+  in
+  let has_bin =
+    must (bin <> None) "topology section has no binary-tree reference row"
+  in
+  (if rows = [] then [] else [ ("topology/bin", has_bin) ])
+  @ List.map
+      (fun r ->
+        let cap = num r "cap" and rounds = num r "rounds" in
+        ( Printf.sprintf "topology/%s/cap_rounds" (str r "shape"),
+          match bin with
+          | Some b when cap > 1.0 ->
+              let expect = Float.ceil (num b "rounds" /. cap) in
+              must (rounds = expect)
+                "capacity-%.0f uplinks must cut the binary round count to \
+                 ceil(%.0f/%.0f) = %.0f, measured %.0f"
+                cap (num b "rounds") cap expect rounds
+          | _ -> Skipped ))
+      rows
+
+(* One entry per section, in the order bench/main.ml writes them. *)
+let table =
+  [
+    section "service_throughput" ~prefix:"service_throughput/service"
+      ~key:[ "pes"; "domains" ] ~metrics:[ ("jobs_per_sec", Higher) ]
+      ~multi_domain:true ~cross:scaling
+      [ positive "jobs_per_sec" ];
+    section "streaming" ~key:[ "process"; "policy"; "pes"; "domains" ]
+      ~metrics:[ ("p99_ms", Lower); ("jobs_per_sec", Higher) ]
+      ~multi_domain:true ~cross:delta_beats_immediate
+      (inv "sojourn" "p50 must be positive and p99 at least p50" (fun v ->
+           pos (v "p50_ms") && Float.is_finite (v "p99_ms")
+           && v "p99_ms" >= v "p50_ms")
+      :: positive "jobs_per_sec" :: positive "total_power" :: epochs);
+    section "streaming_virtual" ~key:[ "process"; "policy"; "pes"; "domains" ]
+      ~metrics:[ ("jobs_per_sec", Higher) ] ~multi_domain:true
+      (inv "jobs_per_sec" "bad replay" (fun v ->
+           pos (v "jobs_per_sec") && pos (v "wall_s"))
+      :: inv "jobs" ~applies:full_size
+           "a full-size virtual replay must drive >= 100000 jobs" (fun v ->
+             v "jobs" >= 100_000.0)
+      :: epochs);
+    section "placement" ~key:[ "trace"; "pes" ] ~metrics:[ ("ratio", Higher) ]
+      ~certificates:
+        [ ("digest_ok", "placed job must equal the permuted set run directly") ]
+      [
+        inv "width" "widths must be at least 1" (fun v ->
+            v "width_identity" >= 1.0 && v "width_static" >= 1.0);
+        inv "no_regression" "static placement must never exceed identity width"
+          (fun v -> v "width_static" <= v "width_identity");
+        inv "power" "static placement must never spend more power" (fun v ->
+            v "power_static" <= v "power_identity");
+        inv "ratio" ~applies:(trace "skewed")
+          "the skewed trace must place at >= 1.5x width reduction" (fun v ->
+            v "width_identity" >= 1.5 *. v "width_static");
+        inv "power_win" ~applies:(trace "skewed")
+          "the skewed trace must strictly cut power" (fun v ->
+            v "power_static" < v "power_identity");
+        inv "auto_no_regression" ~applies:(trace "uniform")
+          "self-adjusting placement must never exceed identity width"
+          (fun v -> v "width_auto" <= v "width_identity");
+        inv "auto_beats_static" ~applies:(trace "phase")
+          "self-adjusting placement must beat the static compromise"
+          (fun v -> v "width_auto" < v "width_static");
+        inv "remaps" ~applies:(trace "phase")
+          "the phase-changing trace must trigger a remap" (fun v ->
+            v "remaps" >= 1.0);
+      ];
+    section "log_overhead" ~metrics:[ ("ns_per_append", Lower) ]
+      [
+        inv "ns_per_append" "bad log_overhead" (fun v ->
+            pos (v "ns_per_append") && v "bytes_per_event" > 0.0);
+      ];
+    section "plan_cache"
+      ~metrics:
+        [ ("compile_ns", Lower); ("replay_ns", Lower); ("hit_rate", Higher) ]
+      [
+        inv "compile_ns" "bad timings" (fun v ->
+            pos (v "compile_ns") && pos (v "replay_ns"));
+        inv "speedup" ~applies:(timed "compile_ns" "replay_ns")
+          "replay must be >= 3x faster than compile" (fun v ->
+            v "compile_ns" /. v "replay_ns" >= 3.0);
+        inv "hit_rate" "the repetitive trace must hit >= 80%" (fun v ->
+            v "hit_rate" >= 0.80);
+      ];
+    section "par_engine" ~metrics:[ ("seq_ns", Lower); ("par_d1_ns", Lower) ]
+      ~certificates:
+        [
+          ("digest_match", "merged log must be digest-identical to sequential");
+          ("work_conserved", "per-block event counts must sum to sequential");
+        ]
+      [
+        inv "seq_ns" "bad timings" (fun v ->
+            pos (v "seq_ns") && pos (v "par_d1_ns"));
+        (* On the --fast grid the blocks are a few dozen PEs and the
+           constant per-block cost dominates. *)
+        inv "overhead" ~applies:full_size
+          "domains:1 must stay within 10% of the sequential engine" (fun v ->
+            v "overhead" <= 1.10);
+      ];
+    section "plan_store" ~key:[ "pes" ]
+      ~metrics:
+        [
+          ("recompile_ns", Lower);
+          ("warm_ns", Lower);
+          ("codec_ns_per_event", Lower);
+        ]
+      ~certificates:
+        [ ("digest_ok", "decoded plan's replay must match a fresh run's") ]
+      [
+        inv "timings" "bad timings" (fun v ->
+            pos (v "recompile_ns") && pos (v "warm_ns")
+            && v "codec_ns_per_event" > 0.0);
+        (* A file-system timing: full-size runs only. *)
+        inv "warm_speedup"
+          ~applies:(fun f r ->
+            full_size f r && timed "recompile_ns" "warm_ns" f r)
+          "a warm-store cold start must be >= 3x faster than recompiling"
+          (fun v -> v "recompile_ns" /. v "warm_ns" >= 3.0);
+      ];
+    section "topology" ~key:[ "shape" ] ~metrics:[ ("ns_per_op", Lower) ]
+      ~cross:cap_rounds
+      [
+        positive "ns_per_op";
+        inv "width" "capacity-weighted width must be at least 1" (fun v ->
+            v "width" >= 1.0);
+        inv "rounds" "the scheduler must meet the width bound" (fun v ->
+            v "rounds" = v "width");
+        inv "power" "a non-empty schedule must spend power" (fun v ->
+            v "connects" +. v "writes" > 0.0);
+      ];
+    section "results" ~key:[ "kernel"; "pes"; "width" ]
+      ~metrics:[ ("ns_per_op", Lower) ]
+      [ positive "ns_per_op" ];
+  ]
+
+(* --- Drivers ---------------------------------------------------------- *)
+
+let note_single_core () =
+  print_endline "check_regression: note: skipping multi-domain gates (nproc=1)"
+
+let validate f =
+  if f.nproc = Some 1 then note_single_core ();
+  List.concat_map
+    (fun s ->
+      let rows = rows f s.name in
+      ((s.name, must (rows <> []) "%s has no %s rows" f.path s.name)
+      :: List.concat_map
+           (fun r ->
+             let gate g v = (row_id s r ^ "/" ^ g, v) in
+             List.map (fun (c, claim) -> gate c (must (flag r c) "%s" claim))
+               s.certificates
+             @ List.map (fun (g, check) -> gate g (check f r)) s.checks)
+           rows)
+      @ s.cross f rows)
+    table
+
+let compare_files ~threshold base cur =
+  let single_core = base.nproc = Some 1 || cur.nproc = Some 1 in
+  let multi s r = s.multi_domain && single_core && num r "domains" > 1.0 in
+  if List.exists (fun s -> List.exists (multi s) (rows base s.name)) table then
+    note_single_core ();
+  Printf.printf "%-52s %14s %14s %8s\n" "gate" "baseline" "fresh" "ratio";
+  List.concat_map
+    (fun s ->
+      let fresh = List.map (fun r -> (row_id s r, r)) (rows cur s.name) in
+      List.concat_map
+        (fun b ->
+          let id = row_id s b in
+          match List.assoc_opt id fresh with
+          | _ when multi s b -> [ (id, Skipped) ]
+          | None ->
+              Printf.printf "%-52s %14.2f %14s %8s  MISSING\n" id
+                (num b (fst (List.hd s.metrics)))
+                "-" "-";
+              [ (id, Fail "in the baseline, missing from the fresh run") ]
+          | Some f ->
+              List.map
+                (fun (m, better) ->
+                  let bv = num b m and fv = num f m in
+                  let ratio = fv /. bv and tol = threshold /. 100.0 in
+                  let bad =
+                    if better = Lower then ratio > 1.0 +. tol
+                    else ratio < 1.0 -. tol
+                  in
+                  Printf.printf "%-52s %14.2f %14.2f %7.2fx%s\n" (id ^ "/" ^ m)
+                    bv fv ratio
+                    (if bad then "  REGRESSION" else "");
+                  ( id ^ "/" ^ m,
+                    must (not bad) "%.2f -> %.2f (%.2fx, threshold %.0f%%)" bv
+                      fv ratio threshold ))
+                s.metrics
+              @ List.map
+                  (fun (c, claim) ->
+                    ( id ^ "/" ^ c,
+                      must (flag f c) "fresh run lost its certificate: %s" claim
+                    ))
+                  s.certificates)
+        (rows base s.name))
+    table
+
+let quote s =
   let b = Buffer.create (String.length s) in
   String.iter
     (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
+      if c = '"' || c = '\\' then Buffer.add_char b '\\';
+      Buffer.add_char b c)
     s;
-  Buffer.contents b
+  "\"" ^ Buffer.contents b ^ "\""
 
-(* The machine-readable verdict: written on success AND on failure, so a
-   CI step can always collect one artifact instead of scraping stdout. *)
-let write_verdict ~mode ~extra file vs =
+(* The machine-readable verdict: every evaluated gate, then the
+   violations again with their detail. *)
+let write_verdict file ~mode ~extra gates violations =
+  let array render = function
+    | [] -> "[]"
+    | xs ->
+        "[\n" ^ String.concat ",\n" (List.map (fun x -> "    " ^ render x) xs)
+        ^ "\n  ]"
+  in
   let oc = open_out file in
   let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"cst-padr/check-regression/v1\",\n";
+  p "{\n  \"schema\": \"cst-padr/check-regression/v2\",\n";
   p "  \"mode\": \"%s\",\n" mode;
   List.iter (fun (k, v) -> p "  \"%s\": %s,\n" k v) extra;
-  p "  \"pass\": %b,\n" (vs = []);
-  p "  \"gates_violated\": %d,\n" (List.length vs);
-  p "  \"violations\": [\n";
-  List.iteri
-    (fun i (where, detail) ->
-      p "    {\"gate\": \"%s\", \"detail\": \"%s\"}%s\n" (json_escape where)
-        (json_escape detail)
-        (if i = List.length vs - 1 then "" else ","))
-    vs;
-  p "  ]\n}\n";
+  p "  \"pass\": %b,\n" (violations = []);
+  p "  \"gates_violated\": %d,\n" (List.length violations);
+  p "  \"violations\": %s,\n"
+    (array
+       (fun (g, d) ->
+         Printf.sprintf "{\"gate\": %s, \"detail\": %s}" (quote g) (quote d))
+       violations);
+  p "  \"gates\": %s\n}\n"
+    (array
+       (fun (g, v) ->
+         Printf.sprintf "{\"gate\": %s, \"verdict\": \"%s\"}" (quote g)
+           (match v with
+           | Pass -> "pass"
+           | Fail _ -> "fail"
+           | Skipped -> "skipped"))
+       gates);
   close_out oc
 
-let finish ?out ~mode ~extra ~ok_message () =
-  let vs = List.rev !violations in
-  Option.iter (fun file -> write_verdict ~mode ~extra file vs) out;
-  match vs with
-  | [] ->
-      print_endline ok_message
-  | vs ->
-      List.iter
-        (fun (where, detail) ->
-          Printf.printf "check_regression: FAIL %s: %s\n" where detail)
-        vs;
-      Printf.printf "check_regression: %d gate(s) violated\n" (List.length vs);
-      exit 1
-
-let validate ?out file =
-  let p = parse_rows file in
-  if p.rows = [] then
-    fail_gate "results" (Printf.sprintf "%s contains no benchmark rows" file);
-  List.iter
-    (fun r ->
-      if not (Float.is_finite r.ns_per_op) || r.ns_per_op <= 0.0 then
-        fail_gate
-          (Printf.sprintf "results/%s/ns_per_op" (key r))
-          (Printf.sprintf "bad timing %f" r.ns_per_op))
-    p.rows;
-  if p.service = [] then
-    fail_gate "service_throughput"
-      (Printf.sprintf "%s contains no service_throughput rows" file);
-  List.iter
-    (fun s ->
-      if not (Float.is_finite s.srv_jobs_per_sec) || s.srv_jobs_per_sec <= 0.0
-      then
-        fail_gate
-          (Printf.sprintf "service_throughput/%s/jobs_per_sec" (skey s))
-          (Printf.sprintf "bad throughput %f" s.srv_jobs_per_sec))
-    p.service;
-  (* Streaming scheduler rows: structural sanity per row, the immediate
-     policy's defining property (one epoch per job), and the headline
-     claim — on the bursty trace at domains:1 the delta-aware policy
-     must beat immediate on total power (same per-job power, fewer
-     reconfigurations). *)
-  if p.streaming = [] then
-    fail_gate "streaming"
-      (Printf.sprintf "%s contains no streaming rows" file);
-  List.iter
-    (fun (r : stream_row) ->
-      if
-        (not (Float.is_finite r.sr_p50_ms))
-        || r.sr_p50_ms <= 0.0
-        || (not (Float.is_finite r.sr_p99_ms))
-        || r.sr_p99_ms < r.sr_p50_ms
-      then
-        fail_gate
-          (Printf.sprintf "%s/sojourn" (stkey r))
-          (Printf.sprintf "bad percentiles (p50 %f ms, p99 %f ms)"
-             r.sr_p50_ms r.sr_p99_ms);
-      if
-        (not (Float.is_finite r.sr_jobs_per_sec)) || r.sr_jobs_per_sec <= 0.0
-      then
-        fail_gate
-          (Printf.sprintf "%s/jobs_per_sec" (stkey r))
-          (Printf.sprintf "bad throughput %f" r.sr_jobs_per_sec);
-      if r.sr_epochs < 1 || r.sr_epochs > r.sr_jobs then
-        fail_gate
-          (Printf.sprintf "%s/epochs" (stkey r))
-          (Printf.sprintf "epochs %d outside [1, %d jobs]" r.sr_epochs
-             r.sr_jobs);
-      if r.sr_policy = "immediate" && r.sr_epochs <> r.sr_jobs then
-        fail_gate
-          (Printf.sprintf "%s/epochs" (stkey r))
-          (Printf.sprintf
-             "immediate must pay one reconfiguration per job: %d epochs, \
-              %d jobs"
-             r.sr_epochs r.sr_jobs);
-      if (not (Float.is_finite r.sr_total_power)) || r.sr_total_power <= 0.0
-      then
-        fail_gate
-          (Printf.sprintf "%s/total_power" (stkey r))
-          (Printf.sprintf "bad total power %f" r.sr_total_power))
-    p.streaming;
-  let stream_find process policy pes =
-    List.find_opt
-      (fun (r : stream_row) ->
-        r.sr_process = process && r.sr_policy = policy && r.sr_domains = 1
-        && r.sr_pes = pes)
-      p.streaming
+let finish ?out ~mode ~extra ~ok gates =
+  let violations =
+    List.filter_map (function g, Fail d -> Some (g, d) | _ -> None) gates
   in
-  let stream_pes =
-    List.sort_uniq compare
-      (List.map (fun (r : stream_row) -> r.sr_pes) p.streaming)
-  in
-  let delta_gates =
-    List.filter_map
-      (fun pes ->
-        match
-          (stream_find "bursty" "delta" pes, stream_find "bursty" "immediate" pes)
-        with
-        | Some d, Some i ->
-            if d.sr_total_power >= i.sr_total_power then
-              fail_gate
-                (Printf.sprintf "streaming/bursty/%d/delta_total_power" pes)
-                (Printf.sprintf
-                   "delta policy must beat immediate on total power on the \
-                    bursty trace: %.1f vs %.1f (epochs %d vs %d)"
-                   d.sr_total_power i.sr_total_power d.sr_epochs i.sr_epochs);
-            Some (pes, d.sr_total_power < i.sr_total_power)
-        | _ ->
-            fail_gate
-              (Printf.sprintf "streaming/bursty/%d" pes)
-              "missing the bursty delta/immediate row pair at domains:1";
-            None)
-      stream_pes
-  in
-  (match p.log_overhead with
-  | None ->
-      fail_gate "log_overhead"
-        (Printf.sprintf "%s is missing the log_overhead section" file)
-  | Some lg ->
-      if
-        (not (Float.is_finite lg.lg_ns_per_append))
-        || lg.lg_ns_per_append <= 0.0
-        || lg.lg_bytes_per_event <= 0.0
-      then
-        fail_gate "log_overhead/ns_per_append"
-          (Printf.sprintf "bad log_overhead (%f ns, %f B)" lg.lg_ns_per_append
-             lg.lg_bytes_per_event));
-  (match p.plan_cache with
-  | None ->
-      fail_gate "plan_cache"
-        (Printf.sprintf "%s is missing the plan_cache section" file)
-  | Some pc ->
-      if
-        (not (Float.is_finite pc.pc_compile_ns))
-        || pc.pc_compile_ns <= 0.0
-        || (not (Float.is_finite pc.pc_replay_ns))
-        || pc.pc_replay_ns <= 0.0
-      then
-        fail_gate "plan_cache/compile_ns"
-          (Printf.sprintf "bad timings (compile %f ns, replay %f ns)"
-             pc.pc_compile_ns pc.pc_replay_ns)
-      else begin
-        let speedup = pc.pc_compile_ns /. pc.pc_replay_ns in
-        if speedup < 3.0 then
-          fail_gate "plan_cache/speedup"
-            (Printf.sprintf
-               "replay must be >= 3x faster than compile, measured %.2fx at \
-                %d PEs"
-               speedup pc.pc_pes);
-        if pc.pc_hit_rate < 0.80 then
-          fail_gate "plan_cache/hit_rate"
-            (Printf.sprintf
-               "repetitive trace must hit >= 80%%, measured %.1f%%"
-               (100.0 *. pc.pc_hit_rate))
-      end);
-  (match p.par_engine with
-  | None ->
-      fail_gate "par_engine"
-        (Printf.sprintf "%s is missing the par_engine section" file)
-  | Some pr ->
-      if
-        (not (Float.is_finite pr.pr_seq_ns))
-        || pr.pr_seq_ns <= 0.0
-        || (not (Float.is_finite pr.pr_par_d1_ns))
-        || pr.pr_par_d1_ns <= 0.0
-      then
-        fail_gate "par_engine/seq_ns"
-          (Printf.sprintf "bad timings (seq %f ns, par d1 %f ns)" pr.pr_seq_ns
-             pr.pr_par_d1_ns);
-      if not pr.pr_digest_match then
-        fail_gate "par_engine/digest_match"
-          "merged log must be digest-identical to the sequential engine's";
-      if not pr.pr_work_conserved then
-        fail_gate "par_engine/work_conserved"
-          "per-block event counts must sum to the sequential run's";
-      (* The single-core gate: at domains:1 the decomposition + merge
-         machinery may cost at most 10% over the sequential engine.
-         Full-size runs only — on the --fast smoke grid the blocks are a
-         few dozen PEs and the constant per-block cost dominates. *)
-      if (not p.fast) && pr.pr_overhead > 1.10 then
-        fail_gate "par_engine/overhead"
-          (Printf.sprintf
-             "domains:1 must stay within 10%% of the sequential engine, \
-              measured %.1f%% at %d PEs"
-             (100.0 *. (pr.pr_overhead -. 1.0))
-             pr.pr_pes));
-  (* Persistent plan store: the digest certificate is a correctness
-     claim and holds at any size, but the >= 3x warm-start gate is a
-     file-system timing and only asked of full-size runs, like the
-     par_engine overhead gate. *)
-  if p.plan_store = [] then
-    fail_gate "plan_store"
-      (Printf.sprintf "%s is missing the plan_store section" file);
-  List.iter
-    (fun (ps : store_row) ->
-      if
-        (not (Float.is_finite ps.ps_recompile_ns))
-        || ps.ps_recompile_ns <= 0.0
-        || (not (Float.is_finite ps.ps_warm_ns))
-        || ps.ps_warm_ns <= 0.0
-        || ps.ps_codec_ns_per_event <= 0.0
-      then
-        fail_gate
-          (Printf.sprintf "plan_store/%d/timings" ps.ps_pes)
-          (Printf.sprintf
-             "bad timings (recompile %f ns, warm %f ns, codec %f ns/event)"
-             ps.ps_recompile_ns ps.ps_warm_ns ps.ps_codec_ns_per_event)
-      else begin
-        if not ps.ps_digest_ok then
-          fail_gate
-            (Printf.sprintf "plan_store/%d/digest_ok" ps.ps_pes)
-            "decoded plan's replay must be digest-identical to a fresh run";
-        let speedup = ps.ps_recompile_ns /. ps.ps_warm_ns in
-        if (not p.fast) && speedup < 3.0 then
-          fail_gate
-            (Printf.sprintf "plan_store/%d/warm_speedup" ps.ps_pes)
-            (Printf.sprintf
-               "warm-store cold start must be >= 3x faster than recompile, \
-                measured %.2fx at %d PEs"
-               speedup ps.ps_pes)
-      end)
-    p.plan_store;
-  (* Generalized topologies (schema v2+): the same controlled trace on
-     binary, k-ary and capacity-weighted fat trees.  The scheduler meets
-     the capacity-weighted width bound on every shape, and a fat tree
-     with uplink capacity c must cut the binary round count by exactly
-     ceil(bin/c) — the paper's Theorem 5 divided by the oversubscription
-     ratio.  v1 files (the committed baselines) predate the section and
-     are tolerated without it, with a note so the skip is visible. *)
-  let v2 =
-    match p.schema with
-    | Some s -> s <> "cst-padr/bench-engine/v1"
-    | None -> false
-  in
-  if (not v2) && p.topology = [] then
-    Printf.printf
-      "check_regression: note: no topology section (schema v1 file)\n";
-  if v2 && p.topology = [] then
-    fail_gate "topology"
-      (Printf.sprintf "%s is missing the topology section" file);
-  let bin_row =
-    List.find_opt
-      (fun (r : topo_row) ->
-        String.length r.tp_shape >= 4 && String.sub r.tp_shape 0 4 = "bin:")
-      p.topology
-  in
-  if v2 && p.topology <> [] && bin_row = None then
-    fail_gate "topology/bin"
-      "topology section has no binary-tree reference row";
-  List.iter
-    (fun (r : topo_row) ->
-      if (not (Float.is_finite r.tp_ns)) || r.tp_ns <= 0.0 then
-        fail_gate
-          (Printf.sprintf "%s/ns_per_op" (tkey r))
-          (Printf.sprintf "bad timing %f" r.tp_ns);
-      if r.tp_width < 1 then
-        fail_gate
-          (Printf.sprintf "%s/width" (tkey r))
-          (Printf.sprintf "capacity-weighted width %d below 1" r.tp_width);
-      if r.tp_rounds <> r.tp_width then
-        fail_gate
-          (Printf.sprintf "%s/rounds" (tkey r))
-          (Printf.sprintf
-             "scheduler must meet the width bound on the bench trace: %d \
-              rounds, width %d"
-             r.tp_rounds r.tp_width);
-      if r.tp_connects + r.tp_writes <= 0 then
-        fail_gate
-          (Printf.sprintf "%s/power" (tkey r))
-          (Printf.sprintf
-             "a non-empty schedule must spend power: %d connects, %d writes"
-             r.tp_connects r.tp_writes);
-      match bin_row with
-      | Some b when r.tp_cap > 1 ->
-          let expect = (b.tp_rounds + r.tp_cap - 1) / r.tp_cap in
-          if r.tp_rounds <> expect then
-            fail_gate
-              (Printf.sprintf "%s/cap_rounds" (tkey r))
-              (Printf.sprintf
-                 "capacity-%d uplinks must cut the binary round count to \
-                  ceil(%d/%d) = %d, measured %d"
-                 r.tp_cap b.tp_rounds r.tp_cap expect r.tp_rounds)
-      | _ -> ())
-    p.topology;
-  (* Virtual-clock streaming replays and the placement traces arrive
-     with schema v3; earlier files (v1/v2 committed baselines) predate
-     both sections and are tolerated without them, with a note. *)
-  let v3 =
-    match p.schema with
-    | Some s ->
-        s <> "cst-padr/bench-engine/v1" && s <> "cst-padr/bench-engine/v2"
-    | None -> false
-  in
-  if not v3 then begin
-    if p.streaming_virtual = [] then
-      Printf.printf
-        "check_regression: note: no streaming_virtual section (pre-v3 file)\n";
-    if p.placement = [] then
-      Printf.printf
-        "check_regression: note: no placement section (pre-v3 file)\n"
-  end;
-  if v3 && p.streaming_virtual = [] then
-    fail_gate "streaming_virtual"
-      (Printf.sprintf "%s is missing the streaming_virtual section" file);
-  if v3 && p.placement = [] then
-    fail_gate "placement"
-      (Printf.sprintf "%s is missing the placement section" file);
-  (* Virtual replays: throughput must be real, epoch counts must obey
-     the policies, and a full-size run must actually be the 10^5-job
-     trace the headline claims (--fast shrinks it). *)
-  List.iter
-    (fun (r : virt_row) ->
-      if
-        (not (Float.is_finite r.vr_jobs_per_sec))
-        || r.vr_jobs_per_sec <= 0.0
-        || (not (Float.is_finite r.vr_wall_s))
-        || r.vr_wall_s <= 0.0
-      then
-        fail_gate
-          (Printf.sprintf "%s/jobs_per_sec" (vkey r))
-          (Printf.sprintf "bad replay (%.1f jobs/s over %.3f s)"
-             r.vr_jobs_per_sec r.vr_wall_s);
-      if r.vr_epochs < 1 || r.vr_epochs > r.vr_jobs then
-        fail_gate
-          (Printf.sprintf "%s/epochs" (vkey r))
-          (Printf.sprintf "epochs %d outside [1, %d jobs]" r.vr_epochs
-             r.vr_jobs);
-      if r.vr_policy = "immediate" && r.vr_epochs <> r.vr_jobs then
-        fail_gate
-          (Printf.sprintf "%s/epochs" (vkey r))
-          (Printf.sprintf
-             "immediate must pay one reconfiguration per job: %d epochs, %d \
-              jobs"
-             r.vr_epochs r.vr_jobs);
-      if (not p.fast) && r.vr_jobs < 100_000 then
-        fail_gate
-          (Printf.sprintf "%s/jobs" (vkey r))
-          (Printf.sprintf
-             "full-size virtual replay must drive >= 100000 jobs, got %d"
-             r.vr_jobs))
-    p.streaming_virtual;
-  (* Placement traces.  Every row holds the unconditional guarantees —
-     the optimizer never regresses width or power and the placed job's
-     outcome is byte-identical to the permuted set run directly — then
-     each canonical trace has its headline gate: >= 1.5x width
-     reduction and a strict power win on the skewed trace, and the
-     self-adjusting layer beating the static compromise (having
-     actually remapped) on the phase-changing one. *)
-  List.iter
-    (fun (r : place_row) ->
-      if r.pl_width_identity < 1 || r.pl_width_static < 1 then
-        fail_gate
-          (Printf.sprintf "%s/width" (pkey r))
-          (Printf.sprintf "bad widths (identity %d, static %d)"
-             r.pl_width_identity r.pl_width_static);
-      if r.pl_width_static > r.pl_width_identity then
-        fail_gate
-          (Printf.sprintf "%s/no_regression" (pkey r))
-          (Printf.sprintf
-             "static placement must never exceed identity width: %d vs %d"
-             r.pl_width_static r.pl_width_identity);
-      if r.pl_power_static > r.pl_power_identity then
-        fail_gate
-          (Printf.sprintf "%s/power" (pkey r))
-          (Printf.sprintf
-             "static placement must never spend more power: %d vs %d"
-             r.pl_power_static r.pl_power_identity);
-      if not r.pl_digest_ok then
-        fail_gate
-          (Printf.sprintf "%s/digest_ok" (pkey r))
-          "placed job must be byte-identical to the permuted set run \
-           directly";
-      (match r.pl_trace with
-      | "skewed" ->
-          if
-            float_of_int r.pl_width_identity
-            < 1.5 *. float_of_int r.pl_width_static
-          then
-            fail_gate
-              (Printf.sprintf "%s/ratio" (pkey r))
-              (Printf.sprintf
-                 "skewed trace must place at >= 1.5x width reduction, \
-                  measured %.2fx"
-                 r.pl_ratio);
-          if r.pl_power_static >= r.pl_power_identity then
-            fail_gate
-              (Printf.sprintf "%s/power_win" (pkey r))
-              (Printf.sprintf
-                 "skewed trace must strictly cut power: %d vs %d"
-                 r.pl_power_static r.pl_power_identity)
-      | "uniform" ->
-          if r.pl_width_auto > r.pl_width_identity then
-            fail_gate
-              (Printf.sprintf "%s/auto_no_regression" (pkey r))
-              (Printf.sprintf
-                 "self-adjusting placement must never exceed identity \
-                  width: %d vs %d"
-                 r.pl_width_auto r.pl_width_identity)
-      | "phase" ->
-          if r.pl_width_auto >= r.pl_width_static then
-            fail_gate
-              (Printf.sprintf "%s/auto_beats_static" (pkey r))
-              (Printf.sprintf
-                 "self-adjusting placement must beat the static compromise \
-                  on the phase-changing trace: %d vs %d"
-                 r.pl_width_auto r.pl_width_static);
-          if r.pl_remaps < 1 then
-            fail_gate
-              (Printf.sprintf "%s/remaps" (pkey r))
-              "phase-changing trace must trigger at least one remap"
-      | _ -> ()))
-    p.placement;
-  (* Multi-domain scaling: running wider must not collapse throughput.
-     Only meaningful when the producing host had the cores — at nproc=1
-     every extra domain is pure contention, so the gate is skipped (with
-     a note, so a silent skip cannot masquerade as a pass). *)
-  (match p.nproc with
-  | Some 1 ->
-      Printf.printf
-        "check_regression: note: skipping multi-domain gates (nproc=1)\n"
-  | _ ->
-      let best_multi pes =
-        List.fold_left
-          (fun acc s ->
-            if s.srv_pes = pes && s.srv_domains > 1 then
-              Float.max acc s.srv_jobs_per_sec
-            else acc)
-          neg_infinity p.service
-      in
-      List.iter
-        (fun s ->
-          if s.srv_domains = 1 then
-            let multi = best_multi s.srv_pes in
-            if Float.is_finite multi && multi < 0.9 *. s.srv_jobs_per_sec
-            then
-              fail_gate
-                (Printf.sprintf "service_throughput/%d/scaling" s.srv_pes)
-                (Printf.sprintf
-                   "best multi-domain throughput %.1f jobs/s is below 90%% \
-                    of the domains:1 rate %.1f"
-                   multi s.srv_jobs_per_sec))
-        p.service);
-  (* The verdict's plan_store section: one object per row with the
-     named gates, so CI can key on "plan_store" without re-deriving the
-     thresholds. *)
-  let plan_store_json =
-    Printf.sprintf "[%s]"
-      (String.concat ", "
-         (List.map
-            (fun (ps : store_row) ->
-              let speedup = ps.ps_recompile_ns /. Float.max ps.ps_warm_ns 1e-9 in
-              Printf.sprintf
-                "{\"pes\": %d, \"warm_speedup\": %.2f, \
-                 \"codec_ns_per_event\": %.2f, \"gates\": \
-                 {\"digest_identical\": \"%s\", \"warm_speedup_3x\": \"%s\"}}"
-                ps.ps_pes speedup ps.ps_codec_ns_per_event
-                (if ps.ps_digest_ok then "pass" else "fail")
-                (if p.fast then "skipped"
-                 else if speedup >= 3.0 then "pass"
-                 else "fail"))
-            p.plan_store))
-  in
-  let streaming_json =
-    Printf.sprintf "{\"rows\": %d, \"delta_vs_immediate\": [%s]}"
-      (List.length p.streaming)
-      (String.concat ", "
-         (List.map
-            (fun (pes, ok) ->
-              Printf.sprintf
-                "{\"pes\": %d, \"delta_beats_immediate\": \"%s\"}" pes
-                (if ok then "pass" else "fail"))
-            delta_gates))
-  in
-  let streaming_virtual_json =
-    Printf.sprintf "{\"rows\": %d, \"replays\": [%s]}"
-      (List.length p.streaming_virtual)
-      (String.concat ", "
-         (List.map
-            (fun (r : virt_row) ->
-              Printf.sprintf
-                "{\"policy\": \"%s\", \"jobs\": %d, \"jobs_per_sec\": %.1f, \
-                 \"gates\": {\"epochs_in_range\": \"%s\", \
-                 \"full_scale\": \"%s\"}}"
-                (json_escape r.vr_policy) r.vr_jobs r.vr_jobs_per_sec
-                (if
-                   r.vr_epochs >= 1 && r.vr_epochs <= r.vr_jobs
-                   && (r.vr_policy <> "immediate" || r.vr_epochs = r.vr_jobs)
-                 then "pass"
-                 else "fail")
-                (if p.fast then "skipped"
-                 else if r.vr_jobs >= 100_000 then "pass"
-                 else "fail"))
-            p.streaming_virtual))
-  in
-  let placement_json =
-    Printf.sprintf "{\"rows\": %d, \"traces\": [%s]}"
-      (List.length p.placement)
-      (String.concat ", "
-         (List.map
-            (fun (r : place_row) ->
-              let skewed_gate =
-                if r.pl_trace <> "skewed" then "skipped"
-                else if
-                  float_of_int r.pl_width_identity
-                  >= 1.5 *. float_of_int r.pl_width_static
-                  && r.pl_power_static < r.pl_power_identity
-                then "pass"
-                else "fail"
-              and phase_gate =
-                if r.pl_trace <> "phase" then "skipped"
-                else if r.pl_width_auto < r.pl_width_static && r.pl_remaps >= 1
-                then "pass"
-                else "fail"
-              in
-              Printf.sprintf
-                "{\"trace\": \"%s\", \"ratio\": %.2f, \"remaps\": %d, \
-                 \"gates\": {\"no_regression\": \"%s\", \"digest_identical\": \
-                 \"%s\", \"skewed_1_5x_and_power\": \"%s\", \
-                 \"auto_beats_static\": \"%s\"}}"
-                (json_escape r.pl_trace) r.pl_ratio r.pl_remaps
-                (if
-                   r.pl_width_static <= r.pl_width_identity
-                   && r.pl_power_static <= r.pl_power_identity
-                 then "pass"
-                 else "fail")
-                (if r.pl_digest_ok then "pass" else "fail")
-                skewed_gate phase_gate)
-            p.placement))
-  in
-  let topology_json =
-    let bin_rounds =
-      match bin_row with Some b -> string_of_int b.tp_rounds | None -> "null"
-    in
-    Printf.sprintf "{\"rows\": %d, \"bin_rounds\": %s, \"shapes\": [%s]}"
-      (List.length p.topology) bin_rounds
-      (String.concat ", "
-         (List.map
-            (fun (r : topo_row) ->
-              Printf.sprintf
-                "{\"shape\": \"%s\", \"cap\": %d, \"rounds\": %d, \"gates\": \
-                 {\"rounds_meet_width\": \"%s\", \"cap_speedup\": \"%s\"}}"
-                (json_escape r.tp_shape) r.tp_cap r.tp_rounds
-                (if r.tp_rounds = r.tp_width then "pass" else "fail")
-                (match bin_row with
-                | Some b when r.tp_cap > 1 ->
-                    if r.tp_rounds = (b.tp_rounds + r.tp_cap - 1) / r.tp_cap
-                    then "pass"
-                    else "fail"
-                | _ -> "skipped"))
-            p.topology))
-  in
-  finish ?out ~mode:"validate"
-    ~extra:
-      [
-        ("file", Printf.sprintf "\"%s\"" (json_escape file));
-        ( "nproc",
-          match p.nproc with Some n -> string_of_int n | None -> "null" );
-        ("plan_store", plan_store_json);
-        ("streaming", streaming_json);
-        ("streaming_virtual", streaming_virtual_json);
-        ("placement", placement_json);
-        ("topology", topology_json);
-      ]
-    ~ok_message:
-      (Printf.sprintf
-         "check_regression: %s ok (%d rows, %d service rows, %d streaming \
-          rows)"
-         file (List.length p.rows) (List.length p.service)
-         (List.length p.streaming))
-    ()
-
-let compare_files ?out ~threshold baseline fresh =
-  let base = parse_rows baseline and cur = parse_rows fresh in
-  let lookup rows k = List.find_opt (fun r -> key r = k) rows in
-  (* [gate ~slower] prints the comparison row; out-of-threshold ratios
-     are also recorded as violations under section/metric.  [slower]
-     selects the failing direction: true gates times (bigger is worse),
-     false gates rates (smaller is worse). *)
-  let gate ~slower ~section ~metric ~label b f =
-    let ratio = f /. b in
-    let bad =
-      if slower then ratio > 1.0 +. (threshold /. 100.0)
-      else ratio < 1.0 -. (threshold /. 100.0)
-    in
-    if bad then
-      fail_gate
-        (Printf.sprintf "%s/%s" section metric)
-        (Printf.sprintf "%.2f -> %.2f (%.2fx, threshold %.0f%%)" b f ratio
-           threshold);
-    Printf.printf "%-28s %12.2f %12.2f %7.2fx%s\n" label b f ratio
-      (if bad then "  REGRESSION" else "")
-  in
-  let missing ~section ~label b =
-    fail_gate section "present in the baseline, missing from the fresh run";
-    Printf.printf "%-28s %12.2f %12s %8s  MISSING\n" label b "-" "-"
-  in
-  Printf.printf "%-28s %12s %12s %8s\n" "kernel/pes/width" "baseline"
-    "fresh" "ratio";
-  List.iter
-    (fun b ->
-      match lookup cur.rows (key b) with
-      | None -> missing ~section:(Printf.sprintf "results/%s" (key b))
-                  ~label:(key b) b.ns_per_op
-      | Some f ->
-          gate ~slower:true ~section:(Printf.sprintf "results/%s" (key b))
-            ~metric:"ns_per_op" ~label:(key b) b.ns_per_op f.ns_per_op)
-    base.rows;
-  (* Throughput rows gate in the opposite direction: fewer jobs/sec than
-     the baseline by more than the threshold fails.  Multi-domain rows
-     are only comparable when both hosts could actually scale: with
-     either side at nproc=1 they measure contention and are skipped. *)
-  let single_core =
-    base.nproc = Some 1 || cur.nproc = Some 1
-  in
-  if
-    single_core
-    && (List.exists (fun s -> s.srv_domains > 1) base.service
-       || List.exists (fun (r : stream_row) -> r.sr_domains > 1)
-            base.streaming)
-  then
-    Printf.printf
-      "check_regression: note: skipping multi-domain gates (nproc=1)\n";
-  List.iter
-    (fun b ->
-      if single_core && b.srv_domains > 1 then ()
-      else
-      match
-        List.find_opt
-          (fun s ->
-            s.srv_domains = b.srv_domains && s.srv_pes = b.srv_pes)
-          cur.service
-      with
-      | None ->
-          missing
-            ~section:(Printf.sprintf "service_throughput/%s" (skey b))
-            ~label:(skey b) b.srv_jobs_per_sec
-      | Some f ->
-          gate ~slower:false
-            ~section:(Printf.sprintf "service_throughput/%s" (skey b))
-            ~metric:"jobs_per_sec" ~label:(skey b) b.srv_jobs_per_sec
-            f.srv_jobs_per_sec)
-    base.service;
-  (* Streaming rows: p99 sojourn gates like a time (bigger is worse),
-     delivered throughput like a rate.  Multi-domain rows are skipped on
-     single-core hosts for the same reason as service_throughput. *)
-  List.iter
-    (fun (b : stream_row) ->
-      if single_core && b.sr_domains > 1 then ()
-      else
-        match
-          List.find_opt
-            (fun (f : stream_row) ->
-              f.sr_process = b.sr_process && f.sr_policy = b.sr_policy
-              && f.sr_domains = b.sr_domains
-              && f.sr_pes = b.sr_pes)
-            cur.streaming
-        with
-        | None -> missing ~section:(stkey b) ~label:(stkey b) b.sr_p99_ms
-        | Some f ->
-            gate ~slower:true ~section:(stkey b) ~metric:"p99_ms"
-              ~label:(stkey b) b.sr_p99_ms f.sr_p99_ms;
-            gate ~slower:false ~section:(stkey b) ~metric:"jobs_per_sec"
-              ~label:(stkey b ^ " jps") b.sr_jobs_per_sec f.sr_jobs_per_sec)
-    base.streaming;
-  (* Virtual-clock replays: pure scheduler throughput, gated like a
-     rate.  Pre-v3 baselines carry no rows, so the loop is naturally
-     empty against them. *)
-  List.iter
-    (fun (b : virt_row) ->
-      if single_core && b.vr_domains > 1 then ()
-      else
-        match
-          List.find_opt
-            (fun (f : virt_row) ->
-              f.vr_process = b.vr_process && f.vr_policy = b.vr_policy
-              && f.vr_domains = b.vr_domains
-              && f.vr_pes = b.vr_pes)
-            cur.streaming_virtual
-        with
-        | None -> missing ~section:(vkey b) ~label:(vkey b) b.vr_jobs_per_sec
-        | Some f ->
-            gate ~slower:false ~section:(vkey b) ~metric:"jobs_per_sec"
-              ~label:(vkey b) b.vr_jobs_per_sec f.vr_jobs_per_sec)
-    base.streaming_virtual;
-  (* Placement traces: the width-reduction ratio gates like a rate (a
-     weaker optimizer shows as a smaller ratio), and a fresh run that
-     loses the byte-identity certificate fails outright. *)
-  List.iter
-    (fun (b : place_row) ->
-      match
-        List.find_opt
-          (fun (f : place_row) ->
-            f.pl_trace = b.pl_trace && f.pl_pes = b.pl_pes)
-          cur.placement
-      with
-      | None -> missing ~section:(pkey b) ~label:(pkey b) b.pl_ratio
-      | Some f ->
-          gate ~slower:false ~section:(pkey b) ~metric:"ratio"
-            ~label:(pkey b) b.pl_ratio f.pl_ratio;
-          if not f.pl_digest_ok then
-            fail_gate
-              (Printf.sprintf "%s/digest_ok" (pkey b))
-              "fresh run lost byte-identity between placed jobs and \
-               directly permuted sets")
-    base.placement;
-  (* The log append sits on every scheduler's inner loop: gate its rate
-     like any timed kernel. *)
-  (match (base.log_overhead, cur.log_overhead) with
-  | None, _ -> ()
-  | Some b, None ->
-      missing ~section:"log_overhead"
-        ~label:(Printf.sprintf "log-append/%d" b.lg_pes)
-        b.lg_ns_per_append
-  | Some b, Some f ->
-      gate ~slower:true ~section:"log_overhead" ~metric:"ns_per_append"
-        ~label:(Printf.sprintf "log-append/%d" b.lg_pes)
-        b.lg_ns_per_append f.lg_ns_per_append);
-  (* Plan cache: compile and replay cost are timed kernels; the trace
-     hit rate gates like a throughput (lower is worse). *)
-  (match (base.plan_cache, cur.plan_cache) with
-  | None, _ -> ()
-  | Some b, None ->
-      missing ~section:"plan_cache"
-        ~label:(Printf.sprintf "plan-cache/%d" b.pc_pes)
-        b.pc_compile_ns
-  | Some b, Some f ->
-      let label metric = Printf.sprintf "plan-%s/%d" metric b.pc_pes in
-      gate ~slower:true ~section:"plan_cache" ~metric:"compile_ns"
-        ~label:(label "compile") b.pc_compile_ns f.pc_compile_ns;
-      gate ~slower:true ~section:"plan_cache" ~metric:"replay_ns"
-        ~label:(label "replay") b.pc_replay_ns f.pc_replay_ns;
-      gate ~slower:false ~section:"plan_cache" ~metric:"hit_rate"
-        ~label:(label "hit-rate") b.pc_hit_rate f.pc_hit_rate);
-  (* Segment-parallel engine: both timings gate like any kernel, and a
-     fresh run that loses the correctness certificates fails outright. *)
-  (match (base.par_engine, cur.par_engine) with
-  | None, _ -> ()
-  | Some b, None ->
-      missing ~section:"par_engine"
-        ~label:(Printf.sprintf "par-seq/%d" b.pr_pes)
-        b.pr_seq_ns
-  | Some b, Some f ->
-      let label metric = Printf.sprintf "par-%s/%d" metric b.pr_pes in
-      gate ~slower:true ~section:"par_engine" ~metric:"seq_ns"
-        ~label:(label "seq") b.pr_seq_ns f.pr_seq_ns;
-      gate ~slower:true ~section:"par_engine" ~metric:"par_d1_ns"
-        ~label:(label "d1") b.pr_par_d1_ns f.pr_par_d1_ns;
-      if not f.pr_digest_match then
-        fail_gate "par_engine/digest_match"
-          "fresh run lost digest identity with the sequential engine";
-      if not f.pr_work_conserved then
-        fail_gate "par_engine/work_conserved"
-          "fresh run no longer conserves per-block work");
-  (* Persistent plan store: both cold-start timings and the codec rate
-     gate like any kernel; a fresh run that loses the replay digest
-     certificate fails outright. *)
-  List.iter
-    (fun (b : store_row) ->
-      let section = Printf.sprintf "plan_store/%d" b.ps_pes in
-      match
-        List.find_opt (fun (f : store_row) -> f.ps_pes = b.ps_pes)
-          cur.plan_store
-      with
-      | None ->
-          missing ~section
-            ~label:(Printf.sprintf "store-warm/%d" b.ps_pes)
-            b.ps_warm_ns
-      | Some f ->
-          let label metric =
-            Printf.sprintf "store-%s/%d" metric b.ps_pes
-          in
-          gate ~slower:true ~section ~metric:"recompile_ns"
-            ~label:(label "recompile") b.ps_recompile_ns f.ps_recompile_ns;
-          gate ~slower:true ~section ~metric:"warm_ns"
-            ~label:(label "warm") b.ps_warm_ns f.ps_warm_ns;
-          gate ~slower:true ~section ~metric:"codec_ns_per_event"
-            ~label:(label "codec") b.ps_codec_ns_per_event
-            f.ps_codec_ns_per_event;
-          if not f.ps_digest_ok then
-            fail_gate
-              (Printf.sprintf "%s/digest_ok" section)
-              "fresh run lost replay digest identity with a fresh run")
-    base.plan_store;
-  (* Topology rows: the scheduling time on each shape gates like any
-     timed kernel.  v1 baselines carry no topology rows, so the loop is
-     naturally empty against them. *)
-  List.iter
-    (fun (b : topo_row) ->
-      match
-        List.find_opt
-          (fun (f : topo_row) -> f.tp_shape = b.tp_shape)
-          cur.topology
-      with
-      | None -> missing ~section:(tkey b) ~label:(tkey b) b.tp_ns
-      | Some f ->
-          gate ~slower:true ~section:(tkey b) ~metric:"ns_per_op"
-            ~label:(tkey b) b.tp_ns f.tp_ns)
-    base.topology;
-  finish ?out ~mode:"compare"
-    ~extra:
-      [
-        ("baseline", Printf.sprintf "\"%s\"" (json_escape baseline));
-        ("fresh", Printf.sprintf "\"%s\"" (json_escape fresh));
-        ("threshold_pct", Printf.sprintf "%.1f" threshold);
-      ]
-    ~ok_message:
-      (Printf.sprintf "check_regression: no kernel regressed beyond %.0f%%"
-         threshold)
-    ()
+  Option.iter (fun f -> write_verdict f ~mode ~extra gates violations) out;
+  if violations = [] then print_endline ok
+  else begin
+    List.iter
+      (fun (g, d) -> Printf.printf "check_regression: FAIL %s: %s\n" g d)
+      violations;
+    Printf.printf "check_regression: %d gate(s) violated\n"
+      (List.length violations);
+    exit 1
+  end
 
 let () =
   let out = ref None in
@@ -1348,7 +573,24 @@ let () =
   in
   go (List.tl (Array.to_list Sys.argv));
   match (!validate_file, List.rev !positional) with
-  | Some file, [] -> validate ?out:!out file
+  | Some file, [] ->
+      let f = parse file in
+      let nproc = Option.fold ~none:"null" ~some:string_of_int f.nproc in
+      finish ?out:!out ~mode:"validate"
+        ~extra:[ ("file", quote file); ("nproc", nproc) ]
+        ~ok:(Printf.sprintf "check_regression: %s ok" file)
+        (validate f)
   | None, [ baseline; fresh ] ->
-      compare_files ?out:!out ~threshold:!threshold baseline fresh
+      let threshold = !threshold in
+      finish ?out:!out ~mode:"compare"
+        ~extra:
+          [
+            ("baseline", quote baseline);
+            ("fresh", quote fresh);
+            ("threshold_pct", Printf.sprintf "%.1f" threshold);
+          ]
+        ~ok:
+          (Printf.sprintf "check_regression: no kernel regressed beyond %.0f%%"
+             threshold)
+        (compare_files ~threshold (parse baseline) (parse fresh))
   | _ -> usage ()

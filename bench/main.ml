@@ -561,11 +561,12 @@ let microbench () =
    algorithm over a PEs-by-width grid of width-targeted well-nested sets
    and writes one JSON object with one result row per (kernel, pes, width)
    point: ns/op, schedule rounds, engine cycles, control messages and
-   allocated words per op (via Gc.allocated_bytes), plus a
-   "service_throughput" section timing the batch service over a domain
-   grid.  The committed BENCH_engine.json is the perf trajectory baseline;
-   compare a fresh run against it with bench/check_regression.ml.  With
-   --fast a small smoke grid is used (wired into `dune runtest`). *)
+   allocated words per op (via Gc.allocated_bytes), plus the named
+   sections below.  Every row is a field list printed through
+   Cst_service.Stats.fields_to_json, one object per line.  The committed
+   BENCH_engine.json is the perf trajectory baseline; compare a fresh run
+   against it with bench/check_regression.ml.  With --fast a small smoke
+   grid is used (wired into `dune runtest`). *)
 
 let measure ~budget_s f =
   ignore (f ());
@@ -585,31 +586,10 @@ let measure ~budget_s f =
     (a1 -. a0) /. float_of_int (Sys.word_size / 8) /. r,
     !reps )
 
-type json_row = {
-  kernel : string;
-  pes : int;
-  bwidth : int;
-  ns_per_op : float;
-  rounds : int;
-  row_cycles : int;
-  row_messages : int;
-  alloc_words : float;
-  reps : int;
-}
-
 (* Batch-service throughput: one fixed mixed trace of jobs (well-nested
    suite workloads interleaved with arbitrary crossing sets, all dispatched
    as csa), run through Service.run at each domain count.  Wall-clock, not
    CPU time: with several domains Sys.time sums across cores. *)
-
-type service_row = {
-  srv_domains : int;
-  srv_pes : int;
-  srv_jobs : int;
-  srv_jobs_per_sec : float;
-  srv_failed : int;
-  srv_reps : int;
-}
 
 let service_throughput ~fast =
   let n = if fast then 128 else 1024 in
@@ -650,15 +630,18 @@ let service_throughput ~fast =
         incr reps;
         elapsed := Unix.gettimeofday () -. t0
       done;
-      {
-        srv_domains = domains;
-        srv_pes = n;
-        srv_jobs = job_count;
-        srv_jobs_per_sec =
-          float_of_int (job_count * !reps) /. Float.max !elapsed 1e-9;
-        srv_failed = !failed;
-        srv_reps = !reps;
-      })
+      let jobs_per_sec =
+        float_of_int (job_count * !reps) /. Float.max !elapsed 1e-9
+      in
+      Cst_service.Stats.
+        [
+          ("domains", Int domains);
+          ("pes", Int n);
+          ("jobs", Int job_count);
+          ("jobs_per_sec", Float jobs_per_sec);
+          ("failed", Int !failed);
+          ("reps", Int !reps);
+        ])
     domain_grid
 
 (* Streaming scheduler: open-loop arrival replay.  Each row replays one
@@ -672,22 +655,6 @@ let service_throughput ~fast =
    validate gate in check_regression.ml asserts the delta policy beats
    immediate on total power on the bursty trace at domains:1: immediate
    pays one reconfiguration per job, delta one per burst. *)
-
-type stream_row = {
-  st_process : string;
-  st_policy : string;  (* policy family: immediate | quantum | delta *)
-  st_policy_spec : string;  (* full Admission.to_string form *)
-  st_domains : int;
-  st_pes : int;
-  st_jobs : int;
-  st_p50_ms : float;
-  st_p99_ms : float;
-  st_jobs_per_sec : float;
-  st_epochs : int;
-  st_job_power : int;
-  st_recon_power : float;
-  st_total_power : float;
-}
 
 let streaming_bench ~fast =
   let pes_grid = if fast then [ 128 ] else [ 1024; 4096 ] in
@@ -767,22 +734,25 @@ let streaming_bench ~fast =
               List.map
                 (fun policy ->
                   let s, dt = replay ~domains ~policy (mk_trace ()) jobs in
-                  {
-                    st_process = pname;
-                    st_policy = Cst_service.Admission.name policy;
-                    st_policy_spec = Cst_service.Admission.to_string policy;
-                    st_domains = domains;
-                    st_pes = n;
-                    st_jobs = job_count;
-                    st_p50_ms = 1000.0 *. s.sojourn_p50;
-                    st_p99_ms = 1000.0 *. s.sojourn_p99;
-                    st_jobs_per_sec =
-                      float_of_int job_count /. Float.max dt 1e-9;
-                    st_epochs = s.epochs;
-                    st_job_power = s.job_connects + s.job_writes;
-                    st_recon_power = s.recon_power;
-                    st_total_power = Cst_service.Stream.total_power s;
-                  })
+                  Cst_service.Stats.
+                    [
+                      ("process", String pname);
+                      (* the policy family: immediate | quantum | delta *)
+                      ("policy", String (Cst_service.Admission.name policy));
+                      ( "policy_spec",
+                        String (Cst_service.Admission.to_string policy) );
+                      ("domains", Int domains);
+                      ("pes", Int n);
+                      ("jobs", Int job_count);
+                      ("p50_ms", Float (1000.0 *. s.sojourn_p50));
+                      ("p99_ms", Float (1000.0 *. s.sojourn_p99));
+                      ( "jobs_per_sec",
+                        Float (float_of_int job_count /. Float.max dt 1e-9) );
+                      ("epochs", Int s.epochs);
+                      ("job_power", Int (s.job_connects + s.job_writes));
+                      ("recon_power", Float s.recon_power);
+                      ("total_power", Float (Cst_service.Stream.total_power s));
+                    ])
                 policies)
             domain_grid)
         processes)
@@ -794,14 +764,6 @@ let streaming_bench ~fast =
    The append rate is gated by check_regression like any other kernel:
    the log sits on every scheduler's inner loop, so a slow append taxes
    every row in this file at once. *)
-
-type log_row = {
-  lg_pes : int;
-  lg_events : int;
-  lg_ns_per_append : float;
-  lg_bytes_per_event : float;
-  lg_reps : int;
-}
 
 let log_overhead ~fast =
   let n = if fast then 128 else 2048 in
@@ -824,15 +786,15 @@ let log_overhead ~fast =
   let log = Cst.Exec_log.create () in
   ignore (Padr.Engine.run_exn ~log topo set);
   let events = Cst.Exec_log.length log in
-  {
-    lg_pes = n;
-    lg_events = events;
-    lg_ns_per_append = ns /. float_of_int appends;
-    lg_bytes_per_event =
-      float_of_int (Cst.Exec_log.bytes_used log)
-      /. float_of_int (max 1 events);
-    lg_reps = reps;
-  }
+  let bytes = float_of_int (Cst.Exec_log.bytes_used log) in
+  Cst_service.Stats.
+    [
+      ("pes", Int n);
+      ("events", Int events);
+      ("ns_per_append", Float (ns /. float_of_int appends));
+      ("bytes_per_event", Float (bytes /. float_of_int (max 1 events)));
+      ("reps", Int reps);
+    ]
 
 (* Plan cache: the compile-once/replay-many contrast.  "Compile" is a
    full engine run frozen into a plan ({!Padr.Plan.compile}); "replay"
@@ -841,16 +803,6 @@ let log_overhead ~fast =
    measures the cache hit rate the batch service achieves on a
    90%-repetitive stream: a few base structures recurring under aligned
    translations, with a fresh unique structure every tenth job. *)
-
-type cache_row = {
-  pc_pes : int;
-  pc_compile_ns : float;
-  pc_replay_ns : float;
-  pc_trace_jobs : int;
-  pc_hits : int;
-  pc_misses : int;
-  pc_reps : int;
-}
 
 let plan_cache_bench ~fast =
   let n = if fast then 128 else 1024 in
@@ -916,15 +868,19 @@ let plan_cache_bench ~fast =
         | Some s -> (s.hits, s.misses)
         | None -> (0, 0))
   in
-  {
-    pc_pes = n;
-    pc_compile_ns = compile_ns;
-    pc_replay_ns = replay_ns;
-    pc_trace_jobs = trace_jobs;
-    pc_hits = hits;
-    pc_misses = misses;
-    pc_reps = reps;
-  }
+  Cst_service.Stats.
+    [
+      ("pes", Int n);
+      ("compile_ns", Float compile_ns);
+      ("replay_ns", Float replay_ns);
+      ("speedup", Float (compile_ns /. Float.max replay_ns 1e-9));
+      ("trace_jobs", Int trace_jobs);
+      ("hits", Int hits);
+      ("misses", Int misses);
+      ( "hit_rate",
+        Float (float_of_int hits /. float_of_int (max 1 (hits + misses))) );
+      ("reps", Int reps);
+    ]
 
 (* Segment-parallel engine: a tiled workload — [copies] independent
    translates of one dense tile, so Decompose yields many top-level
@@ -936,17 +892,6 @@ let plan_cache_bench ~fast =
    is digest-identical to the sequential engine's, and the per-block
    config/delivery event counts sum exactly to the sequential run's
    (no work is duplicated or dropped by the split). *)
-
-type par_row = {
-  pe_pes : int;
-  pe_blocks : int;
-  pe_seq_ns : float;
-  pe_par_d1_ns : float;
-  pe_digest_match : bool;
-  pe_work_conserved : bool;
-  pe_grid : (int * float) list;
-  pe_reps : int;
-}
 
 let par_engine_bench ~fast =
   let n = if fast then 256 else 1024 in
@@ -997,16 +942,22 @@ let par_engine_bench ~fast =
     ns
   in
   let grid = List.map (fun d -> (d, par_ns d)) [ 1; 2; 4; 8 ] in
-  {
-    pe_pes = n;
-    pe_blocks = List.length blocks;
-    pe_seq_ns = seq_ns;
-    pe_par_d1_ns = List.assoc 1 grid;
-    pe_digest_match = digest_match;
-    pe_work_conserved = work_conserved;
-    pe_grid = grid;
-    pe_reps = reps;
-  }
+  let par_d1_ns = List.assoc 1 grid in
+  Cst_service.Stats.
+    [
+      ("pes", Int n);
+      ("blocks", Int (List.length blocks));
+      ("seq_ns", Float seq_ns);
+      ("par_d1_ns", Float par_d1_ns);
+      ("overhead", Float (par_d1_ns /. Float.max seq_ns 1e-9));
+      ("digest_match", Bool digest_match);
+      ("work_conserved", Bool work_conserved);
+      ("reps", Int reps);
+      ( "grid",
+        Rows
+          (List.map (fun (d, ns) -> [ ("domains", Int d); ("ns", Float ns) ])
+             grid) );
+    ]
 
 (* Plan store: cold-start time-to-first-scheduled-job.  "Recompile" is
    what a fresh process without a store pays — a full engine compile of
@@ -1018,16 +969,6 @@ let par_engine_bench ~fast =
    run's.  The speedup is gated by check_regression on full-size runs
    (the smoke grid's sets are too small for stable file-system
    timings). *)
-
-type store_row = {
-  ps_pes : int;
-  ps_events : int;
-  ps_recompile_ns : float;
-  ps_warm_ns : float;
-  ps_codec_ns_per_event : float;
-  ps_digest_ok : bool;
-  ps_reps : int;
-}
 
 let plan_store_bench ~fast =
   let sizes = if fast then [ 128 ] else [ 1024; 4096; 16384 ] in
@@ -1090,15 +1031,18 @@ let plan_store_bench ~fast =
         (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
         (Sys.readdir dir);
       (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-      {
-        ps_pes = n;
-        ps_events = events;
-        ps_recompile_ns = recompile_ns;
-        ps_warm_ns = warm_ns;
-        ps_codec_ns_per_event = codec_ns /. float_of_int (max 1 events);
-        ps_digest_ok = digest_ok;
-        ps_reps = reps;
-      })
+      Cst_service.Stats.
+        [
+          ("pes", Int n);
+          ("events", Int events);
+          ("recompile_ns", Float recompile_ns);
+          ("warm_ns", Float warm_ns);
+          ("speedup", Float (recompile_ns /. Float.max warm_ns 1e-9));
+          ( "codec_ns_per_event",
+            Float (codec_ns /. float_of_int (max 1 events)) );
+          ("digest_ok", Bool digest_ok);
+          ("reps", Int reps);
+        ])
     sizes
 
 (* Generalized topologies: one nested trace (16 centre-straddling pairs
@@ -1107,18 +1051,6 @@ let plan_store_bench ~fast =
    tree with uplink capacity c must finish in ceil(16/c) rounds —
    Theorem 5 divided by the oversubscription ratio — which is the gate
    check_regression holds the rows to. *)
-
-type topo_row = {
-  tb_shape : string;
-  tb_pes : int;
-  tb_cap : int;  (** leaf-tier uplink capacity (1 on unit-capacity trees) *)
-  tb_width : int;  (** capacity-weighted width of the trace on this shape *)
-  tb_rounds : int;
-  tb_connects : int;
-  tb_writes : int;
-  tb_ns : float;
-  tb_reps : int;
-}
 
 let topology_bench ~fast =
   let budget_s = if fast then 0.02 else 0.25 in
@@ -1155,17 +1087,20 @@ let topology_bench ~fast =
         measure ~budget_s (fun () ->
             ignore (Padr.Csa.run_exn topo set))
       in
-      {
-        tb_shape = Cst.Shape.to_string shape;
-        tb_pes = n;
-        tb_cap = Cst.Shape.cap_at shape ~depth:(Cst.Shape.levels shape);
-        tb_width = width;
-        tb_rounds = Padr.Schedule.num_rounds sched;
-        tb_connects = sched.power.total_connects;
-        tb_writes = sched.power.total_writes;
-        tb_ns = ns;
-        tb_reps = reps;
-      })
+      Cst_service.Stats.
+        [
+          ("shape", String (Cst.Shape.to_string shape));
+          ("pes", Int n);
+          (* leaf-tier uplink capacity (1 on unit-capacity trees) *)
+          ("cap", Int (Cst.Shape.cap_at shape ~depth:(Cst.Shape.levels shape)));
+          (* capacity-weighted width of the trace on this shape *)
+          ("width", Int width);
+          ("rounds", Int (Padr.Schedule.num_rounds sched));
+          ("connects", Int sched.power.total_connects);
+          ("writes", Int sched.power.total_writes);
+          ("ns_per_op", Float ns);
+          ("reps", Int reps);
+        ])
     shapes
 
 (* Virtual-clock streaming replay: the same Stream machinery as
@@ -1175,20 +1110,8 @@ let topology_bench ~fast =
    math, policy evaluation, dispatch — so a 10^5-job trace replays in
    seconds and the sustained jobs/sec is a meaningful throughput
    number, which the open-loop rows (dominated by sleepf) never were.
-   check_regression keys these rows on policy + wall_s: they carry no
-   p99_ms (virtual sojourns are not comparable to wall-clock ones). *)
-
-type virtual_row = {
-  sv_process : string;
-  sv_policy : string;
-  sv_policy_spec : string;
-  sv_domains : int;
-  sv_pes : int;
-  sv_jobs : int;
-  sv_epochs : int;
-  sv_wall_s : float;
-  sv_jobs_per_sec : float;
-}
+   The rows carry no sojourn percentiles: virtual sojourns are not
+   comparable to wall-clock ones. *)
 
 let streaming_virtual_bench ~fast =
   let n = 32 in
@@ -1245,17 +1168,18 @@ let streaming_virtual_bench ~fast =
       let s = Cst_service.Stream.stats stream in
       Cst_service.Stream.shutdown stream;
       assert (List.length outs = jobs);
-      {
-        sv_process = "poisson";
-        sv_policy = Cst_service.Admission.name policy;
-        sv_policy_spec = Cst_service.Admission.to_string policy;
-        sv_domains = domains;
-        sv_pes = n;
-        sv_jobs = jobs;
-        sv_epochs = s.epochs;
-        sv_wall_s = dt;
-        sv_jobs_per_sec = float_of_int jobs /. Float.max dt 1e-9;
-      })
+      Cst_service.Stats.
+        [
+          ("process", String "poisson");
+          ("policy", String (Cst_service.Admission.name policy));
+          ("policy_spec", String (Cst_service.Admission.to_string policy));
+          ("domains", Int domains);
+          ("pes", Int n);
+          ("jobs", Int jobs);
+          ("epochs", Int s.epochs);
+          ("wall_s", Float dt);
+          ("jobs_per_sec", Float (float_of_int jobs /. Float.max dt 1e-9));
+        ])
     policies
 
 (* Demand-aware placement: the three canonical recurring traces
@@ -1265,27 +1189,10 @@ let streaming_virtual_bench ~fast =
    rounds and the power ledger are read back through the service so the
    row also certifies the wiring: a job carrying the placement must be
    byte-identical (outcome_to_string, digest included) to the permuted
-   set submitted directly.  check_regression keys these rows on the
-   "trace" field and holds the committed gates: >= 1.5x width reduction
-   and a power win on the skewed trace, zero regression on uniform, and
-   the self-adjusting layer beating the static compromise on the
-   phase-changing trace. *)
-
-type placement_row = {
-  pb_trace : string;
-  pb_pes : int;
-  pb_jobs : int;
-  pb_width_identity : int;
-  pb_width_static : int;
-  pb_width_auto : int;
-  pb_ratio : float;  (** width_identity / width_static *)
-  pb_rounds_identity : int;
-  pb_rounds_static : int;
-  pb_power_identity : int;  (** connects + writes, summed over the trace *)
-  pb_power_static : int;
-  pb_remaps : int;  (** remaps the self-adjusting layer fired *)
-  pb_digest_ok : bool;
-}
+   set submitted directly.  check_regression holds the committed gates:
+   >= 1.5x width reduction and a power win on the skewed trace, zero
+   regression on uniform, and the self-adjusting layer beating the static
+   compromise on the phase-changing trace. *)
 
 let placement_bench ~fast =
   let module P = Cst_placement in
@@ -1353,21 +1260,24 @@ let placement_bench ~fast =
             <> Svc.outcome_to_string { Svc.job_id = i; result = Ok direct }
           then digest_ok := false)
         sets;
-      {
-        pb_trace = name;
-        pb_pes = n;
-        pb_jobs = jobs;
-        pb_width_identity = !wi;
-        pb_width_static = !ws;
-        pb_width_auto = !wa;
-        pb_ratio = float_of_int !wi /. float_of_int (max 1 !ws);
-        pb_rounds_identity = !ri;
-        pb_rounds_static = !rs;
-        pb_power_identity = !pi;
-        pb_power_static = !ps;
-        pb_remaps = P.Auto.remaps auto;
-        pb_digest_ok = !digest_ok;
-      })
+      Cst_service.Stats.
+        [
+          ("trace", String name);
+          ("pes", Int n);
+          ("jobs", Int jobs);
+          ("width_identity", Int !wi);
+          ("width_static", Int !ws);
+          ("width_auto", Int !wa);
+          ("ratio", Float (float_of_int !wi /. float_of_int (max 1 !ws)));
+          ("rounds_identity", Int !ri);
+          ("rounds_static", Int !rs);
+          (* connects + writes, summed over the trace *)
+          ("power_identity", Int !pi);
+          ("power_static", Int !ps);
+          (* remaps the self-adjusting layer fired *)
+          ("remaps", Int (P.Auto.remaps auto));
+          ("digest_ok", Bool !digest_ok);
+        ])
     traces
 
 let bench_json ~fast file =
@@ -1419,17 +1329,18 @@ let bench_json ~fast file =
                 ?(msgs = 0) f =
               let ns, alloc, reps = measure ~budget_s f in
               add
-                {
-                  kernel;
-                  pes = n;
-                  bwidth = w;
-                  ns_per_op = ns;
-                  rounds;
-                  row_cycles = cycles;
-                  row_messages = msgs;
-                  alloc_words = alloc;
-                  reps;
-                }
+                Cst_service.Stats.
+                  [
+                    ("kernel", String kernel);
+                    ("pes", Int n);
+                    ("width", Int w);
+                    ("ns_per_op", Float ns);
+                    ("rounds", Int rounds);
+                    ("cycles", Int cycles);
+                    ("control_messages", Int msgs);
+                    ("alloc_words", Float alloc);
+                    ("reps", Int reps);
+                  ]
             in
             time "engine" ~msgs:stats.control_messages (fun () ->
                 Padr.Engine.run_exn topo set);
@@ -1446,9 +1357,6 @@ let bench_json ~fast file =
           end)
         grid_widths)
     grid_pes;
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
   (* Host metadata: the regression gates that compare multi-domain
      scaling are only meaningful when the producing machine had the
      cores to scale on, and cross-host comparisons of absolute ns are
@@ -1457,156 +1365,42 @@ let bench_json ~fast file =
      detectable. *)
   let nproc = Domain.recommended_domain_count () in
   let host = try Unix.gethostname () with Unix.Unix_error _ -> "unknown" in
-  p "  \"schema\": \"cst-padr/bench-engine/v3\",\n";
-  p "  \"fast\": %b,\n" fast;
-  p "  \"nproc\": %d,\n" nproc;
-  p "  \"host\": %S,\n" host;
-  p "  \"pes_grid\": [%s],\n"
-    (String.concat ", " (List.map string_of_int grid_pes));
-  p "  \"width_grid\": [%s],\n"
-    (String.concat ", " (List.map string_of_int grid_widths));
-  p "  \"dense_cap\": %d,\n" dense_cap;
-  p "  \"registry_cap\": %d,\n" registry_cap;
-  p "  \"service_throughput\": [\n";
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"domains\": %d, \"pes\": %d, \"jobs\": %d, \"jobs_per_sec\": \
-         %.1f, \"failed\": %d, \"reps\": %d}%s\n"
-        r.srv_domains r.srv_pes r.srv_jobs r.srv_jobs_per_sec r.srv_failed
-        r.srv_reps
-        (if i = List.length srv - 1 then "" else ","))
-    srv;
-  p "  ],\n";
-  (* One object per (process, policy, domains, pes) replay, rendered
-     through the shared Stats JSON renderer.  check_regression keys
-     streaming rows on the "policy" field — no other row carries one. *)
-  p "  \"streaming\": [\n";
-  List.iteri
-    (fun i (r : stream_row) ->
-      let open Cst_service.Stats in
-      p "    %s%s\n"
-        (fields_to_json
-           [
-             ("process", String r.st_process);
-             ("policy", String r.st_policy);
-             ("policy_spec", String r.st_policy_spec);
-             ("domains", Int r.st_domains);
-             ("pes", Int r.st_pes);
-             ("jobs", Int r.st_jobs);
-             ("p50_ms", Float r.st_p50_ms);
-             ("p99_ms", Float r.st_p99_ms);
-             ("jobs_per_sec", Float r.st_jobs_per_sec);
-             ("epochs", Int r.st_epochs);
-             ("job_power", Int r.st_job_power);
-             ("recon_power", Float r.st_recon_power);
-             ("total_power", Float r.st_total_power);
-           ])
-        (if i = List.length stm - 1 then "" else ","))
-    stm;
-  p "  ],\n";
-  (* Virtual-clock replays: check_regression keys these on policy +
-     wall_s — they deliberately carry no p99_ms (virtual sojourns are
-     not wall-clock quantities), which is what separates them from the
-     open-loop streaming rows above. *)
-  p "  \"streaming_virtual\": [\n";
-  List.iteri
-    (fun i (r : virtual_row) ->
-      p
-        "    {\"process\": \"%s\", \"policy\": \"%s\", \"policy_spec\": %S, \
-         \"domains\": %d, \"pes\": %d, \"jobs\": %d, \"epochs\": %d, \
-         \"wall_s\": %.3f, \"jobs_per_sec\": %.1f}%s\n"
-        r.sv_process r.sv_policy r.sv_policy_spec r.sv_domains r.sv_pes
-        r.sv_jobs r.sv_epochs r.sv_wall_s r.sv_jobs_per_sec
-        (if i = List.length sv - 1 then "" else ","))
-    sv;
-  p "  ],\n";
-  (* Placement rows are keyed on the "trace" field — no other row
-     carries one.  Widths are trace sums, so by Theorem 5 they are the
-     total rounds the circuit spends under each mapping. *)
-  p "  \"placement\": [\n";
-  List.iteri
-    (fun i (r : placement_row) ->
-      p
-        "    {\"trace\": \"%s\", \"pes\": %d, \"jobs\": %d, \
-         \"width_identity\": %d, \"width_static\": %d, \"width_auto\": %d, \
-         \"ratio\": %.2f, \"rounds_identity\": %d, \"rounds_static\": %d, \
-         \"power_identity\": %d, \"power_static\": %d, \"remaps\": %d, \
-         \"digest_ok\": %b}%s\n"
-        r.pb_trace r.pb_pes r.pb_jobs r.pb_width_identity r.pb_width_static
-        r.pb_width_auto r.pb_ratio r.pb_rounds_identity r.pb_rounds_static
-        r.pb_power_identity r.pb_power_static r.pb_remaps r.pb_digest_ok
-        (if i = List.length pl - 1 then "" else ","))
-    pl;
-  p "  ],\n";
-  p
-    "  \"log_overhead\": {\"host\": %S, \"pes\": %d, \"events\": %d, \
-     \"ns_per_append\": %.2f, \"bytes_per_event\": %.1f, \"reps\": %d},\n"
-    host lg.lg_pes lg.lg_events lg.lg_ns_per_append lg.lg_bytes_per_event
-    lg.lg_reps;
-  p
-    "  \"plan_cache\": {\"host\": %S, \"pes\": %d, \"compile_ns\": %.1f, \
-     \"replay_ns\": %.1f, \"speedup\": %.2f, \"trace_jobs\": %d, \"hits\": \
-     %d, \"misses\": %d, \"hit_rate\": %.3f, \"reps\": %d},\n"
-    host pc.pc_pes pc.pc_compile_ns pc.pc_replay_ns
-    (pc.pc_compile_ns /. Float.max pc.pc_replay_ns 1e-9)
-    pc.pc_trace_jobs pc.pc_hits pc.pc_misses
-    (float_of_int pc.pc_hits
-    /. float_of_int (max 1 (pc.pc_hits + pc.pc_misses)))
-    pc.pc_reps;
-  p
-    "  \"par_engine\": {\"host\": %S, \"pes\": %d, \"blocks\": %d, \
-     \"seq_ns\": %.1f, \"par_d1_ns\": %.1f, \"overhead\": %.3f, \
-     \"digest_match\": %b, \"work_conserved\": %b, \"reps\": %d, \"grid\": \
-     [%s]},\n"
-    host pe.pe_pes pe.pe_blocks pe.pe_seq_ns pe.pe_par_d1_ns
-    (pe.pe_par_d1_ns /. Float.max pe.pe_seq_ns 1e-9)
-    pe.pe_digest_match pe.pe_work_conserved pe.pe_reps
-    (String.concat ", "
-       (List.map
-          (fun (d, ns) ->
-            Printf.sprintf "{\"domains\": %d, \"ns\": %.1f}" d ns)
-          pe.pe_grid));
-  p "  \"plan_store\": [\n";
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"host\": %S, \"pes\": %d, \"events\": %d, \"recompile_ns\": \
-         %.1f, \"warm_ns\": %.1f, \"speedup\": %.2f, \
-         \"codec_ns_per_event\": %.2f, \"digest_ok\": %b, \"reps\": %d}%s\n"
-        host r.ps_pes r.ps_events r.ps_recompile_ns r.ps_warm_ns
-        (r.ps_recompile_ns /. Float.max r.ps_warm_ns 1e-9)
-        r.ps_codec_ns_per_event r.ps_digest_ok r.ps_reps
-        (if i = List.length ps - 1 then "" else ","))
-    ps;
-  p "  ],\n";
-  (* check_regression keys topology rows on the "shape" field — no other
-     row carries one — and holds fat rows to rounds = ceil(bin / cap). *)
-  p "  \"topology\": [\n";
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"shape\": \"%s\", \"pes\": %d, \"cap\": %d, \"width\": %d, \
-         \"rounds\": %d, \"connects\": %d, \"writes\": %d, \"ns_per_op\": \
-         %.1f, \"reps\": %d}%s\n"
-        r.tb_shape r.tb_pes r.tb_cap r.tb_width r.tb_rounds r.tb_connects
-        r.tb_writes r.tb_ns r.tb_reps
-        (if i = List.length topo_rows - 1 then "" else ","))
-    topo_rows;
-  p "  ],\n";
-  p "  \"results\": [\n";
   let rows = List.rev !rows in
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"kernel\": \"%s\", \"pes\": %d, \"width\": %d, \"ns_per_op\": \
-         %.1f, \"rounds\": %d, \"cycles\": %d, \"control_messages\": %d, \
-         \"alloc_words\": %.1f, \"reps\": %d}%s\n"
-        r.kernel r.pes r.bwidth r.ns_per_op r.rounds r.row_cycles
-        r.row_messages r.alloc_words r.reps
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n}\n";
+  let ints l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]" in
+  let tagged r =
+    Cst_service.Stats.(fields_to_json (("host", String host) :: r))
+  in
+  let array row_json rs =
+    "[\n" ^ String.concat ",\n" (List.map (fun r -> "    " ^ row_json r) rs)
+    ^ "\n  ]"
+  in
+  let rows_json = array Cst_service.Stats.fields_to_json in
+  let top =
+    [
+      ("schema", "\"cst-padr/bench-engine/v3\"");
+      ("fast", string_of_bool fast);
+      ("nproc", string_of_int nproc);
+      ("host", Printf.sprintf "%S" host);
+      ("pes_grid", ints grid_pes);
+      ("width_grid", ints grid_widths);
+      ("dense_cap", string_of_int dense_cap);
+      ("registry_cap", string_of_int registry_cap);
+      ("service_throughput", rows_json srv);
+      ("streaming", rows_json stm);
+      ("streaming_virtual", rows_json sv);
+      ("placement", rows_json pl);
+      ("log_overhead", tagged lg);
+      ("plan_cache", tagged pc);
+      ("par_engine", tagged pe);
+      ("plan_store", array tagged ps);
+      ("topology", rows_json topo_rows);
+      ("results", rows_json rows);
+    ]
+  in
+  let oc = open_out file in
+  Printf.fprintf oc "{\n%s\n}\n"
+    (String.concat ",\n"
+       (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v) top));
   close_out oc;
   Format.printf "wrote %d benchmark rows to %s@." (List.length rows) file
 

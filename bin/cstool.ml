@@ -16,8 +16,7 @@
    Scheduling goes through Cst_service.Service — cstool is a thin client:
    it builds jobs, lets the service dispatch on registry capabilities and
    renders the outcomes.  route/batch/serve accept a uniform
-   --engine spec/mp/segmented; the older spellings (route --par,
-   batch --segmented) remain as aliases. *)
+   --engine spec/mp/segmented. *)
 
 open Cmdliner
 module Service = Cst_service.Service
@@ -207,15 +206,11 @@ let info_cmd =
 
 (* route *)
 let route_cmd =
-  let run file workload n seed algo engine par verbose no_verify shape place =
+  let run file workload n seed algo engine verbose no_verify shape place =
     match obtain_set file workload n seed with
     | Error e -> exit_err e
     | Ok set -> (
-        let engine =
-          match engine with
-          | Some e -> e
-          | None -> if par then Service.Segmented else Service.Spec
-        in
+        let engine = Option.value engine ~default:Service.Spec in
         let placement = obtain_mapping place in
         (* Verification below checks the outcome against the set the
            hardware actually saw: the placed one. *)
@@ -290,14 +285,6 @@ let route_cmd =
             (Printf.sprintf "Scheduler: %s."
                (String.concat ", " Cst_baselines.Registry.names)))
   in
-  let par =
-    Arg.(
-      value & flag
-      & info [ "par" ]
-          ~doc:
-            "Alias for --engine segmented: independent top-level blocks \
-             scheduled separately and merged (CSA only).")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every round.")
   in
@@ -308,12 +295,12 @@ let route_cmd =
     (Cmd.info "route" ~doc:"Schedule a set on the CST")
     Term.(
       const run $ file_arg $ workload_arg $ n_arg $ seed_arg $ algo
-      $ engine_arg $ par $ verbose $ no_verify $ shape_arg $ place_arg)
+      $ engine_arg $ verbose $ no_verify $ shape_arg $ place_arg)
 
 (* batch: many jobs through the domain pool *)
 let batch_cmd =
   let run n jobs algos seed domains queue verbose cache_stats no_cache
-      engine_opt segmented store_dir place =
+      engine_opt store_dir place =
     let placement = obtain_mapping place in
     let algos =
       match algos with
@@ -342,16 +329,10 @@ let batch_cmd =
           g.make rng ~n
       in
       let engine =
-        (* --engine (or the --segmented alias) routes every
-           engine-capable job through the chosen path; algorithms
-           without an engine keep the spec scheduler instead of failing
-           on a capability error. *)
-        let requested =
-          match engine_opt with
-          | Some e -> e
-          | None -> if segmented then Service.Segmented else Service.Spec
-        in
-        match requested with
+        (* --engine routes every engine-capable job through the chosen
+           path; algorithms without an engine keep the spec scheduler
+           instead of failing on a capability error. *)
+        match Option.value engine_opt ~default:Service.Spec with
         | Service.Spec -> Service.Spec
         | e -> (
             match Cst_baselines.Registry.find algo with
@@ -459,15 +440,6 @@ let batch_cmd =
       & info [ "no-cache" ]
           ~doc:"Disable the plan cache; every job schedules from scratch.")
   in
-  let segmented =
-    Arg.(
-      value & flag
-      & info [ "segmented" ]
-          ~doc:
-            "Alias for --engine segmented: route engine-capable jobs \
-             through the segment-parallel engine (independent blocks \
-             cached and scheduled separately).")
-  in
   let store =
     Arg.(
       value
@@ -484,7 +456,7 @@ let batch_cmd =
        ~doc:"Run generated scheduling jobs through the multicore service")
     Term.(
       const run $ n_arg $ jobs $ algos $ seed_arg $ domains $ queue $ verbose
-      $ cache_stats $ no_cache $ engine_arg $ segmented $ store $ place_arg)
+      $ cache_stats $ no_cache $ engine_arg $ store $ place_arg)
 
 (* sweep *)
 let sweep_cmd =

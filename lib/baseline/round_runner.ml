@@ -155,9 +155,8 @@ let run ~name:_ ?log topo set batches =
           deliveries;
         assert (List.length deliveries = List.length batch))
     batches;
-  let levels = Cst.Topology.levels topo in
   let num_rounds = List.length batches in
   Cst.Exec_log.run_end log ~rounds:num_rounds;
   Padr.Schedule.of_log ~from ~set ~topo
-    ~cycles:(levels + (num_rounds * (levels + 1)))
+    ~cycles:(Cst.Topology.spec_cycles topo ~rounds:num_rounds)
     log

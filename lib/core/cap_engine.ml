@@ -154,17 +154,14 @@ let simulate ~log topo set =
             (List.rev !admitted)
         done;
         Cst.Exec_log.run_end log ~rounds:!index;
-        let rounds = !index in
+        let cycles, control_messages =
+          Cst.Topology.engine_cost topo ~rounds:!index
+        in
         Ok
           ( from,
             {
-              (* Modeled hardware cost: one up sweep to collect demand,
-                 then per round one config sweep down the levels, one
-                 grant sweep back and one data cycle. *)
-              cycles = 1 + levels + (rounds * (levels + 2));
-              (* One demand word up and one grant word down per tree
-                 link per round, plus the initial collection. *)
-              control_messages = 2 * (num_nodes - 1) * (rounds + 1);
+              cycles;
+              control_messages;
               max_message_words = 2;
               state_words_per_switch = 5;
             } )

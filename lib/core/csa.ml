@@ -67,10 +67,9 @@ let run ?(eager_clear = false) ?net ?log topo set =
           remaining := !remaining - out.matched_count
         done;
         Cst.Exec_log.run_end log ~rounds:!index;
-        let levels = Cst.Topology.levels topo in
         Ok
           (Schedule.of_log ~from ~set ~topo
-             ~cycles:(levels + (!index * (levels + 1)))
+             ~cycles:(Cst.Topology.spec_cycles topo ~rounds:!index)
              log)
         with Stall { round; remaining } -> Error (Stalled { round; remaining })
 

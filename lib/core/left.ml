@@ -190,10 +190,9 @@ let run ?net ?log topo set =
           remaining := !remaining - out.matched_count
         done;
         Cst.Exec_log.run_end log ~rounds:!index;
-        let levels = Cst.Topology.levels topo in
         Ok
           (Schedule.of_log ~from ~set ~topo
-             ~cycles:(levels + (!index * (levels + 1)))
+             ~cycles:(Cst.Topology.spec_cycles topo ~rounds:!index)
              log)
         with Csa.Stall { round; remaining } ->
           Error (Csa.Stalled { round; remaining })

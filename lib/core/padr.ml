@@ -1,4 +1,3 @@
-module Exec_log = Exec_log
 module Schedule = Schedule
 module Verify = Verify
 module Csa = Csa

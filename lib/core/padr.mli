@@ -15,7 +15,6 @@
     decomposed into the right-oriented part and the (mirrored)
     left-oriented part, each scheduled separately (paper §2.1). *)
 
-module Exec_log = Exec_log
 module Schedule = Schedule
 module Verify = Verify
 

@@ -54,7 +54,6 @@ let run_block ?small topo (b : Cst_comm.Decompose.block) =
 
 let merge_blocks ?log topo set block_logs =
   let levels = Cst.Topology.levels topo in
-  let leaves = Cst.Topology.leaves topo in
   let out = match log with Some l -> l | None -> Cst.Exec_log.create () in
   let from = Cst.Exec_log.length out in
   let merged = Cst.Exec_log.merge ~into:out ~levels block_logs in
@@ -63,16 +62,13 @@ let merge_blocks ?log topo set block_logs =
     | Cst.Exec_log.Run_end { rounds } -> rounds
     | _ -> assert false
   in
-  let sched =
-    Schedule.of_log ~from ~set ~topo
-      ~cycles:(1 + levels + (rounds * (levels + 2)))
-      merged
-  in
+  let cycles, control_messages = Cst.Topology.engine_cost topo ~rounds in
+  let sched = Schedule.of_log ~from ~set ~topo ~cycles merged in
   let stats =
     if Cst.Topology.is_binary topo then
       {
-        Engine.cycles = 1 + levels + (rounds * (levels + 2));
-        control_messages = 2 * (leaves - 1) * (rounds + 1);
+        Engine.cycles;
+        control_messages;
         max_message_words =
           (if rounds > 0 then
              max Phase1.up_words_per_message (Downmsg.words Downmsg.null)
@@ -80,12 +76,11 @@ let merge_blocks ?log topo set block_logs =
         state_words_per_switch = Csa_state.words (Csa_state.zero ());
       }
     else
-      (* Match [Cap_engine]'s closed-form model so segmented and
-         whole-set runs report identical stats. *)
+      (* Match [Cap_engine]'s stats so segmented and whole-set runs
+         report identical ones. *)
       {
-        Engine.cycles = 1 + levels + (rounds * (levels + 2));
-        control_messages =
-          2 * (Cst.Topology.num_nodes topo - 1) * (rounds + 1);
+        Engine.cycles;
+        control_messages;
         max_message_words = 2;
         state_words_per_switch = 5;
       }

@@ -12,25 +12,6 @@ type t = {
   log : Cst.Exec_log.t;
 }
 
-(* The cycle and control-message formulas are the producers' own
-   synchronous-cost models (Theorem 5): every functional scheduler pays
-   [levels] cycles of Phase 1 plus [levels + 1] per round; the
-   message-passing engine pays one extra cycle per sweep and a leading
-   broadcast, and exchanges one message over every tree link per sweep
-   — [(rounds + 1)] sweeps over [2*(leaves-1)] directed links.  They
-   are only consulted when a plan is replayed onto a different tree
-   size; at the compiled size the frozen values are returned as-is. *)
-
-let model_cycles producer ~levels ~rounds =
-  match producer with
-  | Spec -> levels + (rounds * (levels + 1))
-  | Engine -> 1 + levels + (rounds * (levels + 2))
-
-let model_control_messages producer ~leaves ~rounds =
-  match producer with
-  | Spec -> 0
-  | Engine -> 2 * (leaves - 1) * (rounds + 1)
-
 let of_log ~producer ~topo ~set ~rounds ~cycles ?(control_messages = 0) log =
   let placed = Cst.Canon.place set in
   {
@@ -103,17 +84,14 @@ let relocate t topo set =
 
 let replay t topo set =
   let log = relocate t topo set in
-  let leaves = Cst.Topology.leaves topo in
-  let cycles =
-    if leaves = t.leaves then t.cycles
+  (* At the compiled size the frozen costs stand; on another tree size
+     the producer's closed-form model (Theorem 5) recomputes them. *)
+  let cycles, control_messages =
+    if Cst.Topology.leaves topo = t.leaves then (t.cycles, t.control_messages)
     else
-      model_cycles t.producer
-        ~levels:(Cst.Topology.levels topo)
-        ~rounds:t.rounds
-  in
-  let control_messages =
-    if leaves = t.leaves then t.control_messages
-    else model_control_messages t.producer ~leaves ~rounds:t.rounds
+      match t.producer with
+      | Spec -> (Cst.Topology.spec_cycles topo ~rounds:t.rounds, 0)
+      | Engine -> Cst.Topology.engine_cost topo ~rounds:t.rounds
   in
   {
     schedule = Schedule.of_log ~set ~topo ~cycles log;

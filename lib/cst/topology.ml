@@ -62,6 +62,11 @@ let leaves t = t.leaves
 let levels t = t.levels
 let num_nodes t = t.num_nodes
 let root = 1
+let spec_cycles t ~rounds = t.levels + (rounds * (t.levels + 1))
+
+let engine_cost t ~rounds =
+  let links = if t.binary then 2 * (t.leaves - 1) else 2 * (t.num_nodes - 1) in
+  (1 + t.levels + (rounds * (t.levels + 2)), links * (rounds + 1))
 
 let check_node t v =
   if v < 1 || v > t.num_nodes then

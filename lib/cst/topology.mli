@@ -36,6 +36,25 @@ val num_nodes : t -> int
 val root : int
 (** Node 1. *)
 
+(** {2 Closed-form hardware cost}
+
+    The synchronous cost models of Theorem 5, shared by every producer
+    that reports cycles or control messages without simulating them. *)
+
+val spec_cycles : t -> rounds:int -> int
+(** Cycles of a functional scheduler's [rounds]-round schedule: [levels]
+    for Phase 1 plus [levels + 1] per round. *)
+
+val engine_cost : t -> rounds:int -> int * int
+(** [(cycles, control_messages)] of the message-passing engine that runs
+    on this shape for [rounds] rounds.  Cycles are
+    [1 + levels + rounds * (levels + 2)]: a leading demand sweep, then
+    per round a configuration sweep down the levels, a grant sweep back
+    and one data cycle.  Messages are counted per link and sweep over
+    [rounds + 1] sweeps: [2 * (leaves - 1)] per sweep on the binary shape
+    (the binary engine), [2 * (num_nodes - 1)] elsewhere (the capacity
+    engine's demand and grant words). *)
+
 val first_leaf : t -> int
 (** Id of leaf 0 ([= leaves t] on binary). *)
 

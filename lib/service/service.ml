@@ -287,7 +287,6 @@ let dispatch ?cache (job : job) =
               | Error e -> Error (error_of_csa e)
               | Ok bs -> (
                   let hits = ref 0 in
-                  let levels = Cst.Topology.levels topo in
                   let block_log (b : Cst_comm.Decompose.block) =
                     match cache with
                     | None -> Padr.Par_engine.run_block topo b
@@ -318,19 +317,12 @@ let dispatch ?cache (job : job) =
                                   | Cst.Exec_log.Run_end { rounds } -> rounds
                                   | _ -> assert false
                                 in
-                                let control_messages =
-                                  if binary then 2 * (leaves - 1) * (rounds + 1)
-                                  else
-                                    (* [Cap_engine]'s closed form *)
-                                    2
-                                    * (Cst.Topology.num_nodes topo - 1)
-                                    * (rounds + 1)
+                                let cycles, control_messages =
+                                  Cst.Topology.engine_cost topo ~rounds
                                 in
                                 Plan_cache.add pc ~worker key
                                   (Padr.Plan.of_log ~producer:Padr.Plan.Engine
-                                     ~topo ~set:b.set ~rounds
-                                     ~cycles:
-                                       (1 + levels + (rounds * (levels + 2)))
+                                     ~topo ~set:b.set ~rounds ~cycles
                                      ~control_messages blog);
                                 Ok blog))
                   in

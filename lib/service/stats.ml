@@ -1,4 +1,9 @@
-type value = Int of int | Float of float | Bool of bool | String of string
+type value =
+  | Int of int
+  | Float of float
+  | Bool of bool
+  | String of string
+  | Rows of (string * value) list list
 type section = { name : string; fields : (string * value) list }
 type t = section list
 
@@ -37,15 +42,16 @@ let escape s =
     s;
   Buffer.contents b
 
-let value_to_json = function
+let rec value_to_json = function
   | Int i -> string_of_int i
   | Float f ->
       if Float.is_finite f then float_to_string f
       else Printf.sprintf "\"%s\"" (float_to_string f)
   | Bool b -> string_of_bool b
   | String s -> Printf.sprintf "\"%s\"" (escape s)
+  | Rows rows -> "[" ^ String.concat ", " (List.map fields_to_json rows) ^ "]"
 
-let fields_to_json fields =
+and fields_to_json fields =
   let b = Buffer.create 128 in
   Buffer.add_char b '{';
   List.iteri
@@ -74,6 +80,7 @@ let pp_value fmt = function
   | Float f -> Format.pp_print_string fmt (float_to_string f)
   | Bool b -> Format.pp_print_bool fmt b
   | String s -> Format.pp_print_string fmt s
+  | Rows _ as v -> Format.pp_print_string fmt (value_to_json v)
 
 let pp_section fmt s =
   Format.fprintf fmt "@[<h>%s:" s.name;

@@ -10,7 +10,13 @@
     [bench/main.ml] — print through {!pp} / {!to_json} / {!fields_to_json}
     from this single source. *)
 
-type value = Int of int | Float of float | Bool of bool | String of string
+type value =
+  | Int of int
+  | Float of float
+  | Bool of bool
+  | String of string
+  | Rows of (string * value) list list
+      (** a nested list of flat objects, e.g. a per-domain timing grid *)
 
 type section = {
   name : string;  (** e.g. ["plan_cache"], ["stream"] *)
@@ -27,8 +33,9 @@ val throughput :
     bench: jobs, failures, domain count, wall seconds and jobs/sec. *)
 
 val fields_to_json : (string * value) list -> string
-(** One flat JSON object on one line: [{"k": v, ...}].  Floats render
-    with enough digits to round-trip; strings are quoted and escaped. *)
+(** One JSON object on one line: [{"k": v, ...}].  Floats render with
+    enough digits to round-trip; strings are quoted and escaped; a
+    [Rows] value renders as an array of objects. *)
 
 val to_json : t -> string
 (** One JSON object keyed by section name, each section a flat object
