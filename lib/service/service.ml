@@ -15,10 +15,15 @@ let job ?(engine = Spec) ?leaves ?shape ?placement ~id ~algo set =
     invalid_arg "Service.job: ?leaves and ?shape are exclusive";
   { id; set; algo; engine; leaves; shape; placement }
 
+(* Node ids of a [leaves]-leaf tree run up to [2 * leaves - 1], and the
+   execution log packs them into 20 bits. *)
+let max_leaves = 1 lsl 19
+
 type error =
   | Unknown_algo of string
   | Unsupported of { algo : string; what : string }
   | Too_large of { n : int; leaves : int }
+  | Bad_leaves of int
   | Not_well_nested of Cst_comm.Well_nested.violation
   | Stalled of { round : int; remaining : int }
   | Crashed of string
@@ -34,6 +39,10 @@ let pp_error fmt = function
       Format.fprintf fmt "algorithm %s does not support %s" algo what
   | Too_large { n; leaves } ->
       Format.fprintf fmt "set over %d PEs does not fit a %d-leaf CST" n leaves
+  | Bad_leaves leaves ->
+      Format.fprintf fmt
+        "no %d-leaf CST: leaf counts are powers of two from 2 to %d" leaves
+        max_leaves
   | Not_well_nested v ->
       Format.fprintf fmt "set is not schedulable: %a"
         Cst_comm.Well_nested.pp_violation v
@@ -82,6 +91,15 @@ let leaves_for job =
       | None -> Cst_util.Bits.ceil_pow2 (max 2 (Cst_comm.Comm_set.n job.set)))
 
 let job_leaves = leaves_for
+
+let check_leaves job =
+  let leaves = leaves_for job in
+  if
+    Option.is_some job.shape
+    || (leaves >= 2 && leaves <= max_leaves
+       && Cst_util.Bits.is_power_of_two leaves)
+  then Ok leaves
+  else Error (Bad_leaves leaves)
 
 let result_of_schedule ~algo ~digest ~cache ?(control_messages = 0)
     ?(blocks = 0) ?(block_hits = 0) (s : Padr.Schedule.t) =
@@ -160,7 +178,9 @@ let dispatch ?cache (job : job) =
   match Cst_baselines.Registry.find job.algo with
   | None -> Error (Unknown_algo job.algo)
   | Some a -> (
-      let leaves = leaves_for job in
+      match check_leaves job with
+      | Error e -> Error e
+      | Ok leaves ->
       let n = Cst_comm.Comm_set.n job.set in
       if n > leaves then Error (Too_large { n; leaves })
       else

@@ -151,9 +151,9 @@ let nonbinary_shape (job : Service.job) =
   | _ -> None
 
 (* A job participates in the congestion arrays only when it would run at
-   all: a set too large for its tree (or a non-power-of-two override)
-   errors out in the pool, so it contributes no width.  [topo] is the
-   job's non-binary topology when it has one. *)
+   all: a set too large for its tree errors out in the pool, so it
+   contributes no width.  [topo] is the job's non-binary topology when
+   it has one; a binary job's leaf count is checked by the caller. *)
 let crossings_of ?topo job =
   let set = job.Service.set in
   match topo with
@@ -167,10 +167,8 @@ let crossings_of ?topo job =
       else None
   | None ->
       let leaves = Service.job_leaves job in
-      if
-        Cst_util.Bits.is_power_of_two leaves
-        && Cst_comm.Comm_set.n set <= leaves
-      then Some (Cst_comm.Width.crossings ~leaves set)
+      if Cst_comm.Comm_set.n set <= leaves then
+        Some (Cst_comm.Width.crossings ~leaves set)
       else None
 
 (* Per-link uplink capacity: 1 everywhere on the classic shape; slots
@@ -307,9 +305,13 @@ let submit t (job : Service.job) =
         end
   in
   let leaves = Service.job_leaves job in
+  (* A job for a tree that cannot exist still takes its place in the
+     epoch order; the pool answers it with the typed error, and nothing
+     here is sized from its count. *)
+  let valid = Result.is_ok (Service.check_leaves job) in
   let shape = nonbinary_shape job in
   let topo_nb = Option.map Cst.Topology.of_shape shape in
-  let cr = crossings_of ?topo:topo_nb job in
+  let cr = if valid then crossings_of ?topo:topo_nb job else None in
   let to_dispatch = ref [] in
   let commit () = to_dispatch := commit_locked t now :: !to_dispatch in
   (* Epoch boundaries the structure forces, before the policy speaks:
@@ -334,7 +336,7 @@ let submit t (job : Service.job) =
         let nodes =
           match shape with
           | Some s -> Cst.Shape.num_nodes s + 1
-          | None -> 2 * leaves
+          | None -> if valid then 2 * leaves else 0
         in
         let e =
           {
