@@ -557,10 +557,9 @@ let microbench () =
 
 (* --json FILE: machine-readable perf baseline.
 
-   Times the sparse engine, the dense reference engine and every registry
-   algorithm over a PEs-by-width grid of width-targeted well-nested sets
-   and writes one JSON object with one result row per (kernel, pes, width)
-   point: ns/op, schedule rounds, engine cycles, control messages and
+   Times the message-passing engine and every registry algorithm over a
+   PEs-by-width grid of width-targeted well-nested sets and writes one
+   JSON object with one result row per (kernel, pes, width) point: ns/op, schedule rounds, engine cycles, control messages and
    allocated words per op (via Gc.allocated_bytes), plus the named
    sections below.  Every row is a field list printed through
    Cst_service.Stats.fields_to_json, one object per line.  The committed
@@ -1308,10 +1307,10 @@ let bench_json ~fast file =
   let topo_rows = topology_bench ~fast in
   let grid_pes = if fast then [ 64; 256 ] else [ 256; 2048; 16384; 65536 ] in
   let grid_widths = if fast then [ 1; 8 ] else [ 1; 8; 64 ] in
-  (* The dense engine and the per-round baselines are only timed on the
-     smaller trees: their full-tree scans at 2^16 PEs are exactly the cost
-     this benchmark exists to avoid paying. *)
-  let dense_cap = 4096 and registry_cap = 2048 in
+  (* The per-round baselines are only timed on the smaller trees: their
+     full-tree scans at 2^16 PEs are exactly the cost this benchmark
+     exists to avoid paying. *)
+  let registry_cap = 2048 in
   let budget_s = if fast then 0.02 else 0.25 in
   let rows = ref [] in
   let add row = rows := row :: !rows in
@@ -1344,9 +1343,6 @@ let bench_json ~fast file =
             in
             time "engine" ~msgs:stats.control_messages (fun () ->
                 Padr.Engine.run_exn topo set);
-            if n <= dense_cap then
-              time "engine-dense" ~msgs:stats.control_messages (fun () ->
-                  Padr.Engine.run_dense_exn topo set);
             if n <= registry_cap then
               List.iter
                 (fun (a : Cst_baselines.Registry.algo) ->
@@ -1383,7 +1379,6 @@ let bench_json ~fast file =
       ("host", Printf.sprintf "%S" host);
       ("pes_grid", ints grid_pes);
       ("width_grid", ints grid_widths);
-      ("dense_cap", string_of_int dense_cap);
       ("registry_cap", string_of_int registry_cap);
       ("service_throughput", rows_json srv);
       ("streaming", rows_json stm);

@@ -79,7 +79,11 @@ let check_well_nested seed rng =
   (* the CSA, functional and message-passing; scheduler failures (notably
      the typed Stalled no-progress error) are reported structurally
      instead of crashing the fuzz run *)
-  match (Padr.Csa.run topo set, Padr.Engine.run topo set) with
+  let spec_log = Cst.Exec_log.create () in
+  let eng_log = Cst.Exec_log.create () in
+  match
+    (Padr.Csa.run ~log:spec_log topo set, Padr.Engine.run ~log:eng_log topo set)
+  with
   | Error e, _ | _, Error e ->
       (match e with
       | Padr.Csa.Stalled { round; remaining } ->
@@ -102,26 +106,25 @@ let check_well_nested seed rng =
   then complain seed "engine/spec mismatch";
   if stats.max_message_words > 4 || stats.state_words_per_switch <> 5 then
     complain seed "engine exceeded constant word sizes";
-  (* the sparse engine against the dense reference sweep *)
-  (match Padr.Engine.run_dense topo set with
-  | Error e -> complain seed "dense engine failed: %a" Padr.Csa.pp_error e
-  | Ok (dense, dstats) ->
-      if
-        Padr.Schedule.all_deliveries dense <> Padr.Schedule.all_deliveries eng
-        || dense.cycles <> eng.cycles
-        || dense.power.total_writes <> eng.power.total_writes
-        || dstats.control_messages <> stats.control_messages
-      then complain seed "sparse/dense engines diverge");
+  (* the engine against the spec, digest for digest, and its hardware
+     statistics against Theorem 5's closed form *)
+  if Cst.Exec_log.digest eng_log <> Cst.Exec_log.digest spec_log then
+    complain seed "engine digest diverges from the spec's";
+  let cycles, messages =
+    Cst.Topology.engine_cost topo ~rounds:(Padr.Schedule.num_rounds spec)
+  in
+  if
+    eng.cycles <> cycles || stats.cycles <> cycles
+    || stats.control_messages <> messages
+  then complain seed "engine stats diverge from the closed form";
   (* the segment-parallel engine against the sequential one, digest for
      digest *)
-  let seq_log = Cst.Exec_log.create () in
-  ignore (Padr.Engine.run_exn ~log:seq_log topo set);
   let par_log = Cst.Exec_log.create () in
   (match Padr.Par_engine.run ~domains:2 ~log:par_log topo set with
   | Error e ->
       complain seed "segmented engine failed: %a" Padr.Csa.pp_error e
   | Ok (psched, pstats) ->
-      if Cst.Exec_log.digest par_log <> Cst.Exec_log.digest seq_log then
+      if Cst.Exec_log.digest par_log <> Cst.Exec_log.digest eng_log then
         complain seed "segmented engine digest diverges";
       if
         psched.cycles <> eng.cycles
@@ -140,18 +143,6 @@ let check_well_nested seed rng =
         complain seed "%s wrote less than the CSA (%d < %d)" a.name
           s.power.max_writes_per_switch spec.power.max_writes_per_switch)
     Cst_baselines.Registry.all;
-  (* native left vs mirrored right *)
-  let left_native =
-    Padr.Left.run_exn topo (Cst_comm.Mirror.set set)
-  in
-  let reflect =
-    List.map
-      (fun (a, b) -> (Cst_comm.Mirror.pe ~n a, Cst_comm.Mirror.pe ~n b))
-      (Padr.Schedule.all_deliveries spec)
-    |> List.sort compare
-  in
-  if Padr.Schedule.all_deliveries left_native <> reflect then
-    complain seed "native left scheduler diverges from mirroring";
   check_cached_segmented seed set
 
 let check_arbitrary seed rng =

@@ -92,16 +92,16 @@ let[@inline] live ws ~leaves child (m : Downmsg.t) =
   m.sreq <> None || m.dreq <> None
   || (child < leaves && ws.pending.(child - 1) > 0)
 
-(* The sparse engine executes the same message-passing algorithm as
-   {!run_dense} but only ever visits nodes that can act: Phase 1 walks the
-   precomputed level buckets (every node speaks exactly once), and each
-   Phase-2 down sweep follows an explicit frontier of nodes that hold a
-   message or still contain unscheduled matches.  Quiescent switches
-   neither execute [Round.configure] (their decision is provably the null
-   decision) nor get reconfigured.  Cycle and control-message counts are
-   accounted in closed form for the skipped switches — the simulated
-   hardware still clocks every level and still exchanges the null
-   messages; the simulator just does not spend wall-clock on them. *)
+(* The engine executes the paper's message-passing algorithm but only
+   ever visits nodes that can act: Phase 1 walks the precomputed level
+   buckets (every node speaks exactly once), and each Phase-2 down sweep
+   follows an explicit frontier of nodes that hold a message or still
+   contain unscheduled matches.  Quiescent switches neither execute
+   [Round.configure] (their decision is provably the null decision) nor
+   get reconfigured.  Cycle and control-message counts are accounted in
+   closed form for the skipped switches — the simulated hardware still
+   clocks every level and still exchanges the null messages; the
+   simulator just does not spend wall-clock on them. *)
 let simulate ?log topo set =
   assert (Cst.Topology.is_binary topo);
   let leaves = Cst.Topology.leaves topo in
@@ -197,7 +197,7 @@ let simulate ?log topo set =
             let matched = ref 0 in
             (* Down sweep over the active frontier only.  Pushing the right
                child first makes the explicit stack visit leaves in
-               increasing PE order, like the dense level scan. *)
+               increasing PE order, like the spec's recursive sweep. *)
             let sp = ref 0 in
             let push node msg =
               ws.stack_node.(!sp) <- node;
@@ -296,155 +296,5 @@ let run_log ~log topo set =
 
 let run_exn ?log topo set =
   match run ?log topo set with
-  | Ok r -> r
-  | Error e -> invalid_arg (Format.asprintf "%a" Csa.pp_error e)
-
-(* The original dense engine: scans every node at every level of every
-   sweep.  Kept verbatim as the reference implementation — the
-   equivalence suite (test/test_engine_equiv.ml) asserts that {!run}
-   produces byte-identical schedules and stats, and the benchmark
-   baseline times both. *)
-let run_dense ?log topo set =
-  if not (Cst.Topology.is_binary topo) then Cap_engine.run ?log topo set
-  else
-  let leaves = Cst.Topology.leaves topo in
-  if Cst_comm.Comm_set.n set > leaves then
-    Error (Csa.Too_large { n = Cst_comm.Comm_set.n set; leaves })
-  else
-    match Cst_comm.Well_nested.check set with
-    | Error v -> Error (Csa.Not_well_nested v)
-    | Ok _ ->
-        let cycles = ref 0 and messages = ref 0 in
-        let max_words = ref 0 in
-        let send words = incr messages; max_words := max !max_words words in
-
-        (* Phase 1: each node posts its (s, d) word pair to its parent;
-           a switch fires once both children's mailboxes are full.  One
-           level per cycle. *)
-        let up_box = Array.make (2 * leaves) None in
-        let roles = Cst_comm.Comm_set.roles set in
-        for pe = 0 to leaves - 1 do
-          let node = Cst.Topology.node_of_pe topo pe in
-          let msg =
-            if pe < Array.length roles then
-              match roles.(pe) with
-              | Cst_comm.Comm_set.Source _ -> (1, 0)
-              | Cst_comm.Comm_set.Dest _ -> (0, 1)
-              | Cst_comm.Comm_set.Idle -> (0, 0)
-            else (0, 0)
-          in
-          up_box.(node) <- Some msg;
-          send Phase1.up_words_per_message
-        done;
-        incr cycles;
-        let states = Array.init leaves (fun _ -> Csa_state.zero ()) in
-        let levels = Cst.Topology.levels topo in
-        for lvl = 1 to levels do
-          (* Internal nodes at this level consume their children's boxes. *)
-          for node = 1 to leaves - 1 do
-            if Cst.Topology.level topo node = lvl then begin
-              let y = Cst.Topology.left topo node
-              and z = Cst.Topology.right topo node in
-              match (up_box.(y), up_box.(z)) with
-              | Some (s_l, d_l), Some (s_r, d_r) ->
-                  let m = min s_l d_r in
-                  states.(node) <-
-                    Csa_state.make ~m ~sl:(s_l - m) ~dl:d_l ~sr:s_r
-                      ~dr:(d_r - m);
-                  if node <> Cst.Topology.root then begin
-                    up_box.(node) <- Some (s_l - m + s_r, d_l + (d_r - m));
-                    send Phase1.up_words_per_message
-                  end
-              | _ -> assert false
-            end
-          done;
-          incr cycles
-        done;
-
-        let net = Cst.Net.create ?log topo in
-        let log = Cst.Net.log net in
-        let from = Cst.Exec_log.length log in
-        Cst.Exec_log.phase_done log ~levels;
-        let remaining =
-          ref
-            (Array.fold_left
-               (fun acc (s : Csa_state.t) -> acc + s.m)
-               0 states)
-        in
-        let index = ref 0 in
-        let down_box = Array.make (2 * leaves) None in
-        try
-          while !remaining > 0 do
-            incr index;
-            Cst.Exec_log.round_begin log ~index:!index;
-            Array.fill down_box 0 (Array.length down_box) None;
-            down_box.(Cst.Topology.root) <- Some Downmsg.null;
-            let sources = ref [] and dests = ref [] in
-            let matched = ref 0 in
-            let wants = Array.make leaves Cst.Switch_config.empty in
-            (* Down pass: one level per cycle, root first. *)
-            for lvl = levels downto 0 do
-              for node = 1 to (2 * leaves) - 1 do
-                if Cst.Topology.level topo node = lvl then
-                  match down_box.(node) with
-                  | None -> ()
-                  | Some (msg : Downmsg.t) ->
-                      if Cst.Topology.is_leaf topo node then begin
-                        let pe = Cst.Topology.pe_of_node topo node in
-                        (match msg.sreq with
-                        | Some 0 -> sources := pe :: !sources
-                        | None -> ()
-                        | Some _ -> assert false);
-                        match msg.dreq with
-                        | Some 0 -> dests := pe :: !dests
-                        | None -> ()
-                        | Some _ -> assert false
-                      end
-                      else begin
-                        let d = Round.configure states.(node) msg in
-                        wants.(node) <- d.config;
-                        if d.scheduled_matched then incr matched;
-                        down_box.(Cst.Topology.left topo node) <-
-                          Some d.to_left;
-                        down_box.(Cst.Topology.right topo node) <-
-                          Some d.to_right;
-                        send (Downmsg.words d.to_left);
-                        send (Downmsg.words d.to_right)
-                      end
-              done;
-              incr cycles
-            done;
-            if !matched = 0 then
-              raise (Csa.Stall { round = !index; remaining = !remaining });
-            for node = 1 to leaves - 1 do
-              Cst.Net.reconfigure_lazy net ~node ~want:wants.(node)
-            done;
-            let sources = List.rev !sources in
-            List.iter (fun pe -> Cst.Net.pe_write net ~pe pe) sources;
-            let deliveries = Cst.Data_plane.transfer net ~sources in
-            List.iter
-              (fun (src, dst) -> Cst.Exec_log.deliver log ~src ~dst)
-              deliveries;
-            incr cycles;
-            (* the data transfer cycle *)
-            remaining := !remaining - !matched
-          done;
-          Cst.Exec_log.run_end log ~rounds:!index;
-          let sched =
-            Schedule.of_log ~from ~set ~topo ~cycles:!cycles log
-          in
-          Ok
-            ( sched,
-              {
-                cycles = !cycles;
-                control_messages = !messages;
-                max_message_words = !max_words;
-                state_words_per_switch = Csa_state.words states.(1);
-              } )
-        with Csa.Stall { round; remaining } ->
-          Error (Csa.Stalled { round; remaining })
-
-let run_dense_exn ?log topo set =
-  match run_dense ?log topo set with
   | Ok r -> r
   | Error e -> invalid_arg (Format.asprintf "%a" Csa.pp_error e)

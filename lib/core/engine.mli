@@ -8,22 +8,21 @@
     engine therefore demonstrates the locality claim and measures the
     quantities of Theorem 5: cycles, message count and message size.
 
-    Two implementations are exposed.  {!run} is the sparse-frontier engine:
-    Phase 1 walks precomputed level buckets and each Phase-2 down sweep
-    follows an explicit frontier of nodes that hold a message or still own
-    an unscheduled match, so a round costs O(active paths * depth) of
-    simulator time instead of O(n log n).  {!run_dense} is the original
-    full-tree level scan, kept as the reference: both produce identical
-    schedules and stats (asserted by test/test_engine_equiv.ml) — the
-    modeled hardware cost (cycles, control messages) is the same, only the
-    simulation cost differs.
+    {!run} is a sparse-frontier engine: Phase 1 walks precomputed level
+    buckets and each Phase-2 down sweep follows an explicit frontier of
+    nodes that hold a message or still own an unscheduled match, so a
+    round costs O(active paths * depth) of simulator time instead of
+    O(n log n).  The switches it skips would only exchange null messages;
+    their cycles and messages are charged in closed form.
 
-    Tests assert that the engine's schedule is identical, round for round,
-    to {!Csa.run}'s.
+    Tests (test/test_engine_equiv.ml) assert that the engine's schedule
+    is identical, round for round, to {!Csa.run}'s — sources, dests,
+    deliveries, configuration snapshots, power and log digest — and that
+    its cycles and control messages equal {!Cst.Topology.engine_cost}.
 
     On a non-binary topology every entry point delegates to
     {!Cap_engine} — the 3-sided message protocol is binary-only — so
-    sparse, dense and spec runs remain log-identical on every shape. *)
+    engine and spec runs remain log-identical on every shape. *)
 
 type stats = Cap_engine.stats = {
   cycles : int;  (** total clock cycles, Phase 1 included *)
@@ -57,18 +56,3 @@ val run_log :
     — the segment-parallel engine runs one of these per block and
     derives a single schedule from the merged log, so per-block
     schedule construction would be pure waste. *)
-
-val run_dense :
-  ?log:Cst.Exec_log.t ->
-  Cst.Topology.t ->
-  Cst_comm.Comm_set.t ->
-  (Schedule.t * stats, Csa.error) result
-(** Reference implementation: scans all [2n-1] nodes at every level of
-    every sweep.  Kept for the equivalence suite and as the benchmark
-    baseline; produces exactly {!run}'s output. *)
-
-val run_dense_exn :
-  ?log:Cst.Exec_log.t ->
-  Cst.Topology.t ->
-  Cst_comm.Comm_set.t ->
-  Schedule.t * stats

@@ -10,7 +10,6 @@ module Downmsg = Downmsg
 module Csa_state = Csa_state
 module Waves = Waves
 module Plan = Plan
-module Left = Left
 module Invariants = Invariants
 
 type error = Csa.error

@@ -11,9 +11,11 @@
       | Error e -> Format.eprintf "%a" Padr.pp_error e
     ]}
 
-    Right-oriented well-nested sets are scheduled directly; mixed sets are
-    decomposed into the right-oriented part and the (mirrored)
-    left-oriented part, each scheduled separately (paper §2.1). *)
+    Right-oriented well-nested sets are scheduled directly.  Left-oriented
+    members are scheduled by reflection, as the paper's §2.1 suggests:
+    {!schedule_mixed} decomposes a set into its right-oriented part and
+    its (mirrored) left-oriented part, schedules each with the CSA, and
+    {!mixed_deliveries} maps the mirrored part back. *)
 
 module Schedule = Schedule
 module Verify = Verify
@@ -47,10 +49,6 @@ module Plan : module type of Plan
 (** Compile-once / replay-many routing plans: a frozen execution log
     keyed by the set's structural signature ({!Cst.Canon}), replayable
     onto any congruent placement without re-scheduling. *)
-
-module Left : module type of Left
-(** Native scheduler for left-oriented sets (§2.1's mirror-symmetric
-    rules, written out). *)
 
 module Invariants : module type of Invariants
 (** White-box auditing: the mutated registers always equal a from-scratch

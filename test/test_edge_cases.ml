@@ -10,8 +10,13 @@ let test_minimal_tree () =
   check_verified s
 
 let test_minimal_left () =
-  let sched = Padr.Left.run_exn (topo 2) (set ~n:2 [ (1, 0) ]) in
-  check_true "delivered" (Padr.Schedule.all_deliveries sched = [ (1, 0) ])
+  (* a left-oriented member is scheduled by mirroring *)
+  match Padr.schedule_mixed (set ~n:2 [ (1, 0) ]) with
+  | Ok m ->
+      check_true "left part only" (m.right = None && m.left <> None);
+      check_int "one round" 1 m.rounds;
+      check_true "delivered" (Padr.mixed_deliveries m = [ (1, 0) ])
+  | Error e -> Alcotest.failf "%a" Padr.pp_error e
 
 let test_span_full_tree () =
   let n = 4096 in

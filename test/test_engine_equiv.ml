@@ -1,7 +1,8 @@
 (* Schedule-equivalence guard: the sparse-frontier engine (Engine.run)
-   must be observationally identical to the dense reference sweep
-   (Engine.run_dense) — same rounds, sources, dests, deliveries, streamed
-   config snapshots, power, cycles and engine stats — across a broad
+   must be observationally identical to the functional spec (Csa.run) —
+   same rounds, sources, dests, deliveries, streamed config snapshots,
+   power and log digest — and its hardware statistics must equal
+   Theorem 5's closed form (Topology.engine_cost), across a broad
    randomized sweep of sizes, densities and widths. *)
 
 open Helpers
@@ -49,25 +50,31 @@ let check_snapshots msg a b =
     sa sb
 
 let check_equiv msg topo set =
-  let dense, dstats = Padr.Engine.run_dense_exn topo set in
-  let sparse, sstats = Padr.Engine.run_exn topo set in
-  check_int (msg ^ ": rounds") (Padr.Schedule.num_rounds dense)
-    (Padr.Schedule.num_rounds sparse);
-  check_int (msg ^ ": width") dense.width sparse.width;
-  check_int (msg ^ ": cycles") dense.cycles sparse.cycles;
+  let spec_log = Cst.Exec_log.create () in
+  let spec = Padr.Csa.run_exn ~log:spec_log topo set in
+  let eng_log = Cst.Exec_log.create () in
+  let eng, stats = Padr.Engine.run_exn ~log:eng_log topo set in
+  let rounds = Padr.Schedule.num_rounds spec in
+  check_int (msg ^ ": rounds") rounds (Padr.Schedule.num_rounds eng);
+  check_int (msg ^ ": width") spec.width eng.width;
   Array.iteri
     (fun i r -> check_round (Printf.sprintf "%s round %d" msg i) r
-        sparse.rounds.(i))
-    dense.rounds;
-  check_snapshots msg dense sparse;
-  check_power msg dense.power sparse.power;
-  check_int (msg ^ ": stat cycles") dstats.cycles sstats.cycles;
-  check_int (msg ^ ": stat messages") dstats.control_messages
-    sstats.control_messages;
-  check_int (msg ^ ": stat max words") dstats.max_message_words
-    sstats.max_message_words;
-  check_int (msg ^ ": stat state words") dstats.state_words_per_switch
-    sstats.state_words_per_switch
+        eng.rounds.(i))
+    spec.rounds;
+  check_snapshots msg spec eng;
+  check_power msg spec.power eng.power;
+  check_true (msg ^ ": digest")
+    (Cst.Exec_log.digest spec_log = Cst.Exec_log.digest eng_log);
+  (* Theorem 5's costs: the closed form, two-word Phase-1 messages and
+     four-word down messages, five words of switch state. *)
+  let cycles, messages = Cst.Topology.engine_cost topo ~rounds in
+  check_int (msg ^ ": cycles") cycles eng.cycles;
+  check_int (msg ^ ": stat cycles") cycles stats.cycles;
+  check_int (msg ^ ": stat messages") messages stats.control_messages;
+  check_int (msg ^ ": stat max words")
+    (if rounds = 0 then 2 else 4)
+    stats.max_message_words;
+  check_int (msg ^ ": stat state words") 5 stats.state_words_per_switch
 
 (* ~200 random well-nested sets: sizes 4..512, all densities. *)
 let test_random_sweep () =
@@ -105,27 +112,28 @@ let test_degenerate () =
   check_equiv "oversized tree" (topo 64) (set ~n:8 [ (1, 2); (4, 7) ])
 
 (* A schedule derived with [Schedule.of_log ~keep_configs:false] retains
-   no log: neither engine's run then streams a snapshot, and the
-   deliveries still match round for round. *)
+   no log: neither the spec's nor the engine's run then streams a
+   snapshot, and the deliveries still match round for round. *)
 let test_keep_configs_false () =
   let t = topo 32 in
   let rng = Cst_util.Prng.create 99 in
   let s = Cst_workloads.Gen_wn.uniform rng ~n:32 ~density:0.8 in
   let bare run =
     let log = Cst.Exec_log.create () in
-    let sched : Padr.Schedule.t = fst (run log) in
+    let sched : Padr.Schedule.t = run log in
     Padr.Schedule.of_log ~keep_configs:false ~set:s ~topo:t
       ~cycles:sched.cycles log
   in
-  let dense = bare (fun log -> Padr.Engine.run_dense_exn ~log t s) in
-  let sparse = bare (fun log -> Padr.Engine.run_exn ~log t s) in
-  check_true "no dense snapshots" (snapshots dense = []);
-  check_true "no sparse snapshots" (snapshots sparse = []);
-  check_true "rounds" (dense.rounds = sparse.rounds);
-  check_true "rounds scheduled" (Padr.Schedule.num_rounds dense > 0)
+  let spec = bare (fun log -> Padr.Csa.run_exn ~log t s) in
+  let eng = bare (fun log -> fst (Padr.Engine.run_exn ~log t s)) in
+  check_true "no spec snapshots" (snapshots spec = []);
+  check_true "no engine snapshots" (snapshots eng = []);
+  check_true "rounds" (spec.rounds = eng.rounds);
+  check_true "rounds scheduled" (Padr.Schedule.num_rounds spec > 0)
 
 (* Satellite of the Stalled error work: generator-produced well-nested
-   sets can never stall either engine (Theorem 4 progress guarantee). *)
+   sets can never stall the engine or the spec (Theorem 4 progress
+   guarantee). *)
 let prop_never_stalls =
   prop "well-nested sets never stall the engines" ~count:150 (fun params ->
       let s = set_of_params params in
@@ -135,8 +143,7 @@ let prop_never_stalls =
         | Error (Padr.Csa.Stalled _) -> false
         | Error _ -> false
       in
-      ok (Padr.Engine.run t s) && ok (Padr.Engine.run_dense t s)
-      && ok (Padr.Csa.run t s))
+      ok (Padr.Engine.run t s) && ok (Padr.Csa.run t s))
 
 (* tiny substring helper, no extra deps *)
 let contains s sub =

@@ -114,11 +114,7 @@ let prop_views_equal_schedule params =
   in
   let engine_log = Cst.Exec_log.create () in
   let engine_sched, _ = Padr.Engine.run_exn ~log:engine_log topo set in
-  let dense_log = Cst.Exec_log.create () in
-  let dense_sched, _ = Padr.Engine.run_dense_exn ~log:dense_log topo set in
-  List.for_all Fun.id ran
-  && agrees "engine" engine_sched engine_log
-  && agrees "engine-dense" dense_sched dense_log
+  List.for_all Fun.id ran && agrees "engine" engine_sched engine_log
 
 (* --- digest canonicalization ---------------------------------------- *)
 
