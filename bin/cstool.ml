@@ -21,21 +21,21 @@
 open Cmdliner
 module Service = Cst_service.Service
 
+(* A file's contents, or an error naming it: a missing file, a
+   directory or a read failure is a bad input, not a crash. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error e ->
+      (* open errors name the file already; read errors do not *)
+      Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
 
-let load_set path =
-  match Cst_comm.Comm_set.of_string (read_file path) with
-  | Ok s -> Ok s
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+let load_with of_string path =
+  Result.bind (read_file path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (of_string text))
 
-let load_mapping path =
-  match Cst_placement.Mapping.of_string (read_file path) with
-  | Ok m -> Ok m
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+let load_set = load_with Cst_comm.Comm_set.of_string
+let load_mapping = load_with Cst_placement.Mapping.of_string
 
 let gen_set ~workload ~n ~seed =
   match Cst_workloads.Suite.find workload with
