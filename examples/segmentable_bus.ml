@@ -19,13 +19,13 @@ let step bus ~label writes =
   match (Segbus.run_bus bus writes, Segbus.run_on_cst bus writes) with
   | Error e, _ | _, Error e ->
       Format.printf "rejected: %a@.@." Segbus.pp_error e
-  | Ok bus_deliveries, Ok mixed ->
-      let cst_deliveries = Padr.mixed_deliveries mixed in
+  | Ok bus_deliveries, Ok w ->
+      let cst_deliveries = Padr.Waves.deliveries w in
       List.iter
         (fun (w, r) -> Format.printf "  bus: PE %d drives its segment, PE %d latches@." w r)
         bus_deliveries;
       Format.printf "  CST schedule: %d round(s), %d power unit(s)@."
-        mixed.rounds mixed.power_units;
+        w.rounds w.power.total_connects;
       Format.printf "  CST reproduces the bus: %b@.@."
         (cst_deliveries = bus_deliveries)
 

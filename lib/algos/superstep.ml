@@ -25,59 +25,41 @@ let run ?leaves program ~init =
   let topo = Cst.Topology.create ~leaves in
   (* One persistent network per orientation: configurations carry over
      between supersteps exactly as between rounds. *)
-  let net_right = Cst.Net.create topo in
-  let net_left = Cst.Net.create topo in
-  let waves = ref 0 and rounds = ref 0 and cycles = ref 0 in
-  let run_layers net layers =
-    List.concat_map
-      (fun layer ->
-        let sched = Padr.Csa.run_exn ~net topo layer in
-        incr waves;
-        rounds := !rounds + Padr.Schedule.num_rounds sched;
-        cycles := !cycles + sched.cycles;
-        Padr.Schedule.all_deliveries sched)
-      layers
-  in
-  let states = ref init in
-  List.iter
-    (fun step ->
-      let set = step.pattern !states in
-      if Cst_comm.Comm_set.n set <> n then
+  let right = Cst.Net.create topo and left = Cst.Net.create topo in
+  let superstep (states, stats) step =
+    let set = step.pattern states in
+    if Cst_comm.Comm_set.n set <> n then
+      invalid_arg
+        (Printf.sprintf "Superstep.run: step %S uses %d PEs, program has %d"
+           step.label (Cst_comm.Comm_set.n set) n);
+    match Padr.Waves.run ~right ~left set with
+    | Error e ->
         invalid_arg
-          (Printf.sprintf "Superstep.run: step %S uses %d PEs, program has %d"
-             step.label (Cst_comm.Comm_set.n set) n);
-      let right, left = Cst_comm.Decompose.split set in
-      let right_deliveries =
-        run_layers net_right (Cst_comm.Wn_cover.layers right)
-      in
-      let left_deliveries =
-        run_layers net_left
-          (Cst_comm.Wn_cover.layers (Cst_comm.Mirror.set left))
-        |> List.map (fun (src, dst) ->
-               (Cst_comm.Mirror.pe ~n src, Cst_comm.Mirror.pe ~n dst))
-      in
-      let deliveries = List.sort compare (right_deliveries @ left_deliveries) in
-      if deliveries <> Cst_comm.Comm_set.matching set then
-        invalid_arg
-          (Printf.sprintf "Superstep.run: step %S deliveries diverge"
-             step.label);
-      states := step.absorb !states deliveries)
-    program.steps;
-  let whole net =
-    Padr.Schedule.power_of_meter
-      (Cst.Power_meter.of_log
-         ~num_nodes:(Cst.Topology.num_nodes topo)
-         (Cst.Net.log net))
+          (Format.asprintf "Superstep.run: step %S: %a" step.label
+             Padr.pp_error e)
+    | Ok w ->
+        let deliveries = Padr.Waves.deliveries w in
+        if deliveries <> Cst_comm.Comm_set.matching set then
+          invalid_arg
+            (Printf.sprintf "Superstep.run: step %S deliveries diverge"
+               step.label);
+        ( step.absorb states deliveries,
+          {
+            stats with
+            waves = stats.waves + Padr.Waves.num_waves w;
+            rounds = stats.rounds + w.rounds;
+            cycles = stats.cycles + w.cycles;
+            power = Padr.Schedule.combine_power stats.power w.power;
+          } )
   in
-  let power =
-    Padr.Schedule.combine_power (whole net_right)
-      (Padr.Schedule.mirror_power topo (whole net_left))
-  in
-  ( !states,
-    {
-      supersteps = List.length program.steps;
-      waves = !waves;
-      rounds = !rounds;
-      cycles = !cycles;
-      power;
-    } )
+  List.fold_left superstep
+    ( init,
+      {
+        supersteps = List.length program.steps;
+        waves = 0;
+        rounds = 0;
+        cycles = 0;
+        power =
+          Padr.Schedule.zero_power ~num_nodes:(Cst.Topology.num_nodes topo);
+      } )
+    program.steps

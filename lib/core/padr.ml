@@ -35,55 +35,3 @@ let schedule_exn ?shape ?leaves ?log set =
 
 let verify (sched : Schedule.t) =
   Verify.schedule (Cst.Topology.create ~leaves:sched.leaves) sched.set sched
-
-type mixed = {
-  right : Schedule.t option;
-  left : Schedule.t option;
-  rounds : int;
-  power_units : int;
-}
-
-let schedule_mixed ?leaves set =
-  let right_part, left_part = Cst_comm.Decompose.split set in
-  let run part =
-    if Cst_comm.Comm_set.size part = 0 then Ok None
-    else Result.map Option.some (schedule ?leaves part)
-  in
-  match run right_part with
-  | Error e -> Error e
-  | Ok right -> (
-      match run (Cst_comm.Mirror.set left_part) with
-      | Error e -> Error e
-      | Ok left ->
-          let rounds_of = function
-            | None -> 0
-            | Some s -> Schedule.num_rounds s
-          in
-          let power_of = function
-            | None -> 0
-            | Some (s : Schedule.t) -> s.power.total_connects
-          in
-          Ok
-            {
-              right;
-              left;
-              rounds = rounds_of right + rounds_of left;
-              power_units = power_of right + power_of left;
-            })
-
-let mixed_deliveries m =
-  let right =
-    match m.right with None -> [] | Some s -> Schedule.all_deliveries s
-  in
-  let left =
-    match m.left with
-    | None -> []
-    | Some s ->
-        (* Undo the reflection with the same n used to mirror the part. *)
-        let n = Cst_comm.Comm_set.n s.set in
-        List.map
-          (fun (src, dst) ->
-            (Cst_comm.Mirror.pe ~n src, Cst_comm.Mirror.pe ~n dst))
-          (Schedule.all_deliveries s)
-  in
-  List.sort compare (right @ left)

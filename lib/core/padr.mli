@@ -12,10 +12,11 @@
     ]}
 
     Right-oriented well-nested sets are scheduled directly.  Left-oriented
-    members are scheduled by reflection, as the paper's §2.1 suggests:
-    {!schedule_mixed} decomposes a set into its right-oriented part and
-    its (mirrored) left-oriented part, schedules each with the CSA, and
-    {!mixed_deliveries} maps the mirrored part back. *)
+    and mixed sets go through {!Waves}, which schedules them by
+    reflection, as the paper's §2.1 suggests: it splits a set into its
+    right-oriented part and its (mirrored) left-oriented part, runs the
+    CSA on each and maps the mirrored part back.  Crossing parts cost
+    more waves. *)
 
 module Schedule = Schedule
 module Verify = Verify
@@ -82,21 +83,3 @@ val schedule_exn :
 
 val verify : Schedule.t -> Verify.report
 (** Full verification of a schedule produced by {!schedule}. *)
-
-type mixed = {
-  right : Schedule.t option;  (** schedule of the right-oriented members *)
-  left : Schedule.t option;
-      (** schedule of the mirrored left-oriented members; its deliveries
-          are reported in original coordinates by {!mixed_deliveries} *)
-  rounds : int;  (** total rounds of the two-part schedule *)
-  power_units : int;  (** total connects over both parts *)
-}
-
-val schedule_mixed :
-  ?leaves:int -> Cst_comm.Comm_set.t -> (mixed, error) result
-(** Decomposes an arbitrarily-oriented set whose two oriented parts are
-    each well-nested, and schedules the parts one after the other. *)
-
-val mixed_deliveries : mixed -> (int * int) list
-(** All (src, dst) pairs of both parts, in original PE coordinates,
-    sorted by source. *)

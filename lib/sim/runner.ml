@@ -29,60 +29,33 @@ let finish ~scheduler ~power phases =
 
 let run_padr (trace : Traffic.t) =
   let topo = Cst.Topology.create ~leaves:trace.leaves in
-  let net_right = Cst.Net.create topo in
-  let net_left = Cst.Net.create topo in
+  let right = Cst.Net.create topo and left = Cst.Net.create topo in
+  let power =
+    ref (Padr.Schedule.zero_power ~num_nodes:(Cst.Topology.num_nodes topo))
+  in
   let phases =
     List.map
       (fun (p : Traffic.phase) ->
-        let right, left = Cst_comm.Decompose.split p.set in
-        (* Log cursors delimit this phase's share of the shared nets'
-           histories. *)
-        let from_r = Cst.Exec_log.length (Cst.Net.log net_right) in
-        let from_l = Cst.Exec_log.length (Cst.Net.log net_left) in
-        let run net layers =
-          List.fold_left
-            (fun (w, r, c) layer ->
-              let s = Padr.Csa.run_exn ~net topo layer in
-              (w + 1, r + Padr.Schedule.num_rounds s, c + s.cycles))
-            (0, 0, 0) layers
-        in
-        let w1, r1, c1 = run net_right (Cst_comm.Wn_cover.layers right) in
-        let w2, r2, c2 =
-          run net_left (Cst_comm.Wn_cover.layers (Cst_comm.Mirror.set left))
-        in
-        let delta net from =
-          Cst.Power_meter.of_log ~from
-            ~num_nodes:(Cst.Topology.num_nodes topo)
-            (Cst.Net.log net)
-        in
-        let dr = delta net_right from_r
-        and dl = delta net_left from_l in
-        {
-          label = p.label;
-          comms = Cst_comm.Comm_set.size p.set;
-          width = Cst_comm.Width.width ~leaves:trace.leaves p.set;
-          waves = w1 + w2;
-          rounds = r1 + r2;
-          cycles = c1 + c2;
-          connects =
-            Cst.Power_meter.total_connects dr
-            + Cst.Power_meter.total_connects dl;
-          writes =
-            Cst.Power_meter.total_writes dr + Cst.Power_meter.total_writes dl;
-        })
+        match Padr.Waves.run ~right ~left p.set with
+        | Error e ->
+            invalid_arg
+              (Format.asprintf "Runner.run_padr: phase %s: %a" p.label
+                 Padr.pp_error e)
+        | Ok w ->
+            power := Padr.Schedule.combine_power !power w.power;
+            {
+              label = p.label;
+              comms = Cst_comm.Comm_set.size p.set;
+              width = Cst_comm.Width.width ~leaves:trace.leaves p.set;
+              waves = Padr.Waves.num_waves w;
+              rounds = w.rounds;
+              cycles = w.cycles;
+              connects = w.power.total_connects;
+              writes = w.power.total_writes;
+            })
       trace.phases
   in
-  let whole net =
-    Padr.Schedule.power_of_meter
-      (Cst.Power_meter.of_log
-         ~num_nodes:(Cst.Topology.num_nodes topo)
-         (Cst.Net.log net))
-  in
-  let power =
-    Padr.Schedule.combine_power (whole net_right)
-      (Padr.Schedule.mirror_power topo (whole net_left))
-  in
-  finish ~scheduler:"padr" ~power phases
+  finish ~scheduler:"padr" ~power:!power phases
 
 let run_baseline ?domains (algo : Cst_baselines.Registry.algo)
     (trace : Traffic.t) =

@@ -45,18 +45,18 @@ let run ~n ~origin =
   let rounds = ref 0 and power = ref 0 in
   List.iter
     (fun set ->
-      match Padr.schedule_mixed set with
+      match Padr.Waves.schedule set with
       | Error e ->
           invalid_arg (Format.asprintf "Broadcast.run: %a" Padr.pp_error e)
-      | Ok mixed ->
-          rounds := !rounds + mixed.rounds;
-          power := !power + mixed.power_units;
+      | Ok w ->
+          rounds := !rounds + w.rounds;
+          power := !power + w.power.total_connects;
           List.iter
             (fun (src, dst) ->
               if not (List.mem src !covered) then
                 invalid_arg "Broadcast.run: stage sends from a non-holder";
               covered := dst :: !covered)
-            (Padr.mixed_deliveries mixed))
+            (Padr.Waves.deliveries w))
     stages;
   {
     stages = List.length stages;

@@ -23,5 +23,5 @@ type result = {
 }
 
 val run : n:int -> origin:int -> result
-(** Plans, schedules every stage with {!Padr.schedule_mixed} and replays
+(** Plans, schedules every stage with {!Padr.Waves.schedule} and replays
     deliveries to track coverage.  Raises on internal failure only. *)

@@ -89,8 +89,8 @@ let run_on_cst t writes =
   match to_comm_set t writes with
   | Error e -> Error e
   | Ok set -> (
-      match Padr.schedule_mixed set with
-      | Ok mixed -> Ok mixed
+      match Padr.Waves.schedule set with
+      | Ok w -> Ok w
       | Error e ->
           (* Disjoint segments always produce schedulable parts, so this
              is unreachable for sets built by [to_comm_set]; if it ever

@@ -50,6 +50,7 @@ val run_bus : t -> write list -> ((int * int) list, error) result
 val to_comm_set : t -> write list -> (Cst_comm.Comm_set.t, error) result
 (** The CST communication set of one bus step. *)
 
-val run_on_cst : t -> write list -> (Padr.mixed, error) result
-(** Compiles and schedules the step on a CST via {!Padr.schedule_mixed}.
-    Deliveries ({!Padr.mixed_deliveries}) equal {!run_bus}'s. *)
+val run_on_cst : t -> write list -> (Padr.Waves.t, error) result
+(** Compiles and schedules the step on a CST via {!Padr.Waves.schedule}:
+    one wave per orientation present.  Deliveries
+    ({!Padr.Waves.deliveries}) equal {!run_bus}'s. *)

@@ -123,28 +123,23 @@ let test_keep_configs_off () =
   (* verification still passes minus the replay check *)
   check_verified s
 
-let test_schedule_mixed () =
+let test_mixed_by_reflection () =
   let st = set ~n:8 [ (0, 3); (7, 4) ] in
-  match Padr.schedule_mixed st with
+  match Padr.Waves.schedule st with
   | Error e -> Alcotest.fail (Format.asprintf "%a" Padr.pp_error e)
-  | Ok m ->
-      check_int "two single-round parts" 2 m.rounds;
+  | Ok w ->
+      check_int "one wave per orientation" 2 (Padr.Waves.num_waves w);
+      check_int "two single-round parts" 2 w.rounds;
       check_true "deliveries in original coordinates"
-        (Padr.mixed_deliveries m = [ (0, 3); (7, 4) ])
+        (Padr.Waves.deliveries w = [ (0, 3); (7, 4) ])
 
-let test_schedule_mixed_pure_right () =
+let test_mixed_right_only () =
   let st = set ~n:8 [ (0, 3) ] in
-  match Padr.schedule_mixed st with
-  | Ok m ->
-      check_true "no left part" (m.left = None);
-      check_int "rounds" 1 m.rounds
+  match Padr.Waves.schedule st with
+  | Ok w ->
+      check_true "no left part" (w.left_waves = []);
+      check_int "rounds" 1 w.rounds
   | Error _ -> Alcotest.fail "should schedule"
-
-let test_schedule_mixed_rejects_crossing_part () =
-  let st = set ~n:8 [ (0, 2); (1, 3) ] in
-  match Padr.schedule_mixed st with
-  | Error (Padr.Csa.Not_well_nested _) -> ()
-  | _ -> Alcotest.fail "crossing right part must be rejected"
 
 let suite =
   [
@@ -164,7 +159,6 @@ let suite =
     case "trace events" test_trace_events;
     case "cycles formula" test_cycles_formula;
     case "keep_configs off" test_keep_configs_off;
-    case "schedule_mixed" test_schedule_mixed;
-    case "schedule_mixed pure right" test_schedule_mixed_pure_right;
-    case "schedule_mixed rejects crossing" test_schedule_mixed_rejects_crossing_part;
+    case "mixed set by reflection" test_mixed_by_reflection;
+    case "mixed set, right part only" test_mixed_right_only;
   ]

@@ -101,10 +101,10 @@ let prop_mixed_round_trip =
                    Cst_comm.Comm.make ~src:c.dst ~dst:c.src
                  else c))
       in
-      match Padr.schedule_mixed flipped with
+      match Padr.Waves.schedule flipped with
       | Error _ -> false
-      | Ok m ->
-          Padr.mixed_deliveries m
+      | Ok w ->
+          Padr.Waves.deliveries w
           = List.sort compare
               (Array.to_list (Cst_comm.Comm_set.comms flipped)
               |> List.map (fun (c : Cst_comm.Comm.t) -> (c.src, c.dst))))

@@ -11,11 +11,12 @@ let test_minimal_tree () =
 
 let test_minimal_left () =
   (* a left-oriented member is scheduled by mirroring *)
-  match Padr.schedule_mixed (set ~n:2 [ (1, 0) ]) with
-  | Ok m ->
-      check_true "left part only" (m.right = None && m.left <> None);
-      check_int "one round" 1 m.rounds;
-      check_true "delivered" (Padr.mixed_deliveries m = [ (1, 0) ])
+  match Padr.Waves.schedule (set ~n:2 [ (1, 0) ]) with
+  | Ok w ->
+      check_true "left part only"
+        (w.right_waves = [] && List.length w.left_waves = 1);
+      check_int "one round" 1 w.rounds;
+      check_true "delivered" (Padr.Waves.deliveries w = [ (1, 0) ])
   | Error e -> Alcotest.failf "%a" Padr.pp_error e
 
 let test_span_full_tree () =
@@ -78,10 +79,10 @@ let test_mixed_same_pe_position_reuse () =
   (* a PE may be endpoint of one comm only, but mixed sets can use
      adjacent PEs in both directions *)
   let s = set ~n:8 [ (0, 3); (4, 1) ] in
-  match Padr.schedule_mixed s with
-  | Ok m ->
+  match Padr.Waves.schedule s with
+  | Ok w ->
       check_true "both delivered"
-        (Padr.mixed_deliveries m = [ (0, 3); (4, 1) ])
+        (Padr.Waves.deliveries w = [ (0, 3); (4, 1) ])
   | Error _ -> Alcotest.fail "should schedule"
 
 let test_broadcast_two_pes () =

@@ -71,11 +71,11 @@ let test_cst_equivalence () =
     ]
   in
   match (Segbus.run_bus b writes, Segbus.run_on_cst b writes) with
-  | Ok bus_del, Ok mixed ->
+  | Ok bus_del, Ok w ->
       check_true "CST reproduces the bus semantics"
-        (Padr.mixed_deliveries mixed = bus_del);
+        (Padr.Waves.deliveries w = bus_del);
       check_true "at most two rounds (one per orientation)"
-        (mixed.rounds <= 2)
+        (w.rounds <= 2)
   | _ -> Alcotest.fail "both should succeed"
 
 let test_cst_equivalence_random () =
@@ -102,8 +102,8 @@ let test_cst_equivalence_random () =
         (Segbus.segments b)
     in
     match (Segbus.run_bus b writes, Segbus.run_on_cst b writes) with
-    | Ok bus_del, Ok mixed ->
-        check_true "equivalent" (Padr.mixed_deliveries mixed = bus_del)
+    | Ok bus_del, Ok w ->
+        check_true "equivalent" (Padr.Waves.deliveries w = bus_del)
     | _ -> Alcotest.fail "random segbus step failed"
   done
 
