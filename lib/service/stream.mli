@@ -80,13 +80,16 @@ val create :
     rewritten through the installed mapping before any width math —
     outcomes are byte-identical to submitting the permuted sets
     directly.  Jobs whose explicit [leaves]/[shape] do not match the
-    layer's tree pass through unplaced. *)
+    layer's tree pass through unplaced, and a set over more PEs than
+    the layer's profile passes through unobserved and unplaced. *)
 
 val submit : t -> Service.job -> unit
 (** Stamps the job's arrival, admits it into the open epoch (committing
     the previous epoch first when the tree size differs or the policy's
     width cap would be exceeded) and re-evaluates the policy.  Blocks
-    only while a commit is flushing into a full pool queue. *)
+    only while a commit is flushing into a full pool queue.  Raises
+    [Invalid_argument] after {!shutdown}; no exception leaves the
+    stream locked. *)
 
 val tick : t -> unit
 (** Re-evaluates the policy at the current clock — how time-based
