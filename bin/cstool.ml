@@ -183,19 +183,21 @@ let info_cmd =
           (Cst_comm.Comm_set.size right)
           (Cst_comm.Comm_set.size left);
         (match Cst_comm.Well_nested.check right with
-        | Ok forest ->
+        | Ok () ->
             Format.printf "right part:     well-nested, depth %d@."
-              (Cst_comm.Nest_forest.max_depth forest)
+              (Cst_comm.Nest_forest.max_depth (Cst_comm.Nest_forest.build right))
         | Error v ->
             Format.printf "right part:     NOT well-nested (%a)@."
               Cst_comm.Well_nested.pp_violation v);
         if Cst_comm.Comm_set.n set <= 128 then
           Format.printf "@.%s" (Cst_report.Arc_diagram.render_set set);
         if Cst_comm.Comm_set.size left > 0 then
-          match Cst_comm.Well_nested.check (Cst_comm.Mirror.set left) with
-          | Ok forest ->
+          let mirrored = Cst_comm.Mirror.set left in
+          match Cst_comm.Well_nested.check mirrored with
+          | Ok () ->
               Format.printf "left part:      well-nested, depth %d@."
-                (Cst_comm.Nest_forest.max_depth forest)
+                (Cst_comm.Nest_forest.max_depth
+                   (Cst_comm.Nest_forest.build mirrored))
           | Error v ->
               Format.printf "left part:      NOT well-nested (%a)@."
                 Cst_comm.Well_nested.pp_violation v

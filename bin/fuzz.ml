@@ -19,7 +19,7 @@ let complain seed fmt =
 (* The service's cached segment-parallel path: the second run of a set
    on one plan cache is served from relocated block logs, and must still
    report what the sequential engine reports — digest, rounds, cycles,
-   control messages and the whole power record, per-switch arrays
+   control messages and the whole power record, per-switch ledger
    included.  Both outcomes' schedules must verify, and the config
    snapshots they stream from their logs must equal the spec
    scheduler's, round by round.  The set is checked alone and as two
@@ -167,12 +167,65 @@ let check_arbitrary seed rng =
   if Padr.Waves.num_waves w < bound then
     complain seed "wave cover beat its clique lower bound"
 
+(* A re-sealed mutation: one config event of the plan's log moves to a
+   node outside the tree (node 0, a leaf, or past the last node) through
+   the log API, and the plan is rebuilt and encoded afresh, so every
+   digest is valid.  Only the decoder's range checks can reject it. *)
+let check_resealed seed rng topo set (plan : Padr.Plan.t) =
+  let configs =
+    Cst.Exec_log.fold plan.log ~init:0 ~f:(fun k e ->
+        match e with
+        | Cst.Exec_log.Connect _ | Cst.Exec_log.Disconnect _
+        | Cst.Exec_log.Write_config _ ->
+            k + 1
+        | _ -> k)
+  in
+  if configs > 0 then begin
+    let leaves = Cst.Topology.leaves topo in
+    let victim = Cst_util.Prng.int rng configs in
+    let outside =
+      match Cst_util.Prng.int rng 3 with
+      | 0 -> 0
+      | 1 -> leaves + Cst_util.Prng.int rng leaves
+      | _ -> (2 * leaves) + Cst_util.Prng.int rng ((1 lsl 20) - (2 * leaves))
+    in
+    let log = Cst.Exec_log.create () in
+    let k = ref 0 in
+    Cst.Exec_log.iter plan.log (fun e ->
+        let moved =
+          match e with
+          | Cst.Exec_log.Connect c when !k = victim ->
+              Cst.Exec_log.Connect { c with node = outside }
+          | Cst.Exec_log.Disconnect c when !k = victim ->
+              Cst.Exec_log.Disconnect { c with node = outside }
+          | Cst.Exec_log.Write_config c when !k = victim ->
+              Cst.Exec_log.Write_config { c with node = outside }
+          | e -> e
+        in
+        (match e with
+        | Cst.Exec_log.Connect _ | Cst.Exec_log.Disconnect _
+        | Cst.Exec_log.Write_config _ ->
+            incr k
+        | _ -> ());
+        Cst.Exec_log.append log moved);
+    let forged =
+      Padr.Plan.of_log ~producer:plan.producer ~topo ~set ~rounds:plan.rounds
+        ~cycles:plan.cycles ~control_messages:plan.control_messages log
+    in
+    match Padr.Plan.Codec.decode (Padr.Plan.Codec.encode forged) with
+    | Ok _ ->
+        complain seed "re-sealed plan with a config event at node %d decoded"
+          outside
+    | Error _ -> ()
+  end
+
 (* Codec differential: anything the binary codec round-trips must be
    indistinguishable from the original — the decoded log digest equals
    the source log's, and replaying a decoded plan is digest-identical
    to scheduling the set from scratch.  Corruption must be detected:
    flipping any arena byte or truncating the buffer yields a typed
-   error, never a wrong plan or an escaping exception. *)
+   error, never a wrong plan or an escaping exception, and so does a
+   re-sealed plan whose events leave the tree. *)
 let check_codec seed rng =
   let n = 1 lsl (2 + Cst_util.Prng.int rng 7) in
   let density = 0.05 +. Cst_util.Prng.float rng 0.95 in
@@ -228,7 +281,8 @@ let check_codec seed rng =
           let cut = Cst_util.Prng.int rng (Bytes.length b) in
           (match Padr.Plan.Codec.decode (Bytes.sub b 0 cut) with
           | Ok _ -> complain seed "truncation to %d bytes went undetected" cut
-          | Error _ -> ())))
+          | Error _ -> ());
+          check_resealed seed rng topo set plan))
 
 (* Random non-binary shapes: complete k-ary trees and capacity-weighted
    two-layer fat trees (leaves <= 81). *)

@@ -50,7 +50,7 @@ let () =
       Format.printf "@.");
 
   Format.printf "@.switch u made %d configuration change(s) in %d rounds@."
-    sched.power.per_switch_connects.(u)
+    (Cst.Power_meter.connects sched.power.ledger ~node:u)
     (Padr.Schedule.num_rounds sched);
   let report = Padr.verify sched in
   Format.printf "verification: %a@." Padr.Verify.pp_report report

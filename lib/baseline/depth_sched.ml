@@ -1,6 +1,6 @@
 let forest set =
   match Cst_comm.Well_nested.check set with
-  | Ok f -> f
+  | Ok () -> Cst_comm.Nest_forest.build set
   | Error v ->
       invalid_arg
         (Format.asprintf "Depth_sched: %a" Cst_comm.Well_nested.pp_violation v)

@@ -48,7 +48,7 @@ let blocks ?(check = true) ?spans set =
     if not (Comm_set.is_right_oriented set) then
       invalid_arg "Decompose.blocks: set is not right-oriented";
     match Well_nested.check set with
-    | Ok _ -> ()
+    | Ok () -> ()
     | Error v ->
         invalid_arg
           (Format.asprintf "Decompose.blocks: %a" Well_nested.pp_violation v)

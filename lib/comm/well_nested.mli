@@ -2,9 +2,10 @@
 
     A right-oriented communication set is {e well-nested} when its sources
     and destinations form a balanced parenthesis expression (paper §2.1) —
-    equivalently, when no two communications cross.  [check] produces either
-    the nesting forest (a positive certificate) or a concrete violation
-    witness usable in error messages and failure-injection tests. *)
+    equivalently, when no two communications cross.  [check] accepts the
+    set or returns a concrete violation witness usable in error messages
+    and failure-injection tests.  It builds no nesting forest: callers
+    that want one call {!Nest_forest.build} after it. *)
 
 type violation =
   | Not_right_oriented of Comm.t
@@ -12,7 +13,9 @@ type violation =
   | Crossing of Comm.t * Comm.t
       (** Two members interleave as [s1 < s2 < d1 < d2]. *)
 
-val check : Comm_set.t -> (Nest_forest.t, violation) result
+val check : Comm_set.t -> (unit, violation) result
+(** One scan of the set's role table with a stack of open
+    communications: O(n) for n PEs. *)
 
 val is_well_nested : Comm_set.t -> bool
 

@@ -32,11 +32,69 @@ let crossings ~leaves set =
     (Comm_set.comms set);
   { leaves; up; down }
 
+(* Per-domain scratch of [width]: [crossings]' two tables for a
+   [leaves]-leaf tree, all zero between calls.  [width] charges each
+   communication's LCA walk into them, keeping the running maximum, then
+   walks every communication again to zero exactly the links it charged:
+   O(M log leaves) per call and nothing tree-sized allocated once the
+   domain holds a scratch of this size.  As with the engine's workspace,
+   the scratch is taken out of its slot for the call (a call that raised
+   leaves none behind) and reused only for the same leaf count. *)
+type scratch = { s_leaves : int; s_up : int array; s_down : int array }
+
+let last_scratch : scratch option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
 let width ~leaves set =
-  let { up; down; _ } = crossings ~leaves set in
+  check_leaves ~leaves set;
+  let s =
+    match Domain.DLS.get last_scratch with
+    | Some s when s.s_leaves = leaves ->
+        Domain.DLS.set last_scratch None;
+        s
+    | _ ->
+        {
+          s_leaves = leaves;
+          s_up = Array.make (2 * leaves) 0;
+          s_down = Array.make (2 * leaves) 0;
+        }
+  in
+  let up = s.s_up and down = s.s_down in
+  let comms = Comm_set.comms set in
   let m = ref 0 in
-  Array.iter (fun x -> if x > !m then m := x) up;
-  Array.iter (fun x -> if x > !m then m := x) down;
+  Array.iter
+    (fun (c : Comm.t) ->
+      let a = ref (leaves + c.src) and b = ref (leaves + c.dst) in
+      while !a <> !b do
+        if !a > !b then begin
+          let x = up.(!a) + 1 in
+          up.(!a) <- x;
+          if x > !m then m := x;
+          a := !a / 2
+        end
+        else begin
+          let x = down.(!b) + 1 in
+          down.(!b) <- x;
+          if x > !m then m := x;
+          b := !b / 2
+        end
+      done)
+    comms;
+  Array.iter
+    (fun (c : Comm.t) ->
+      let a = ref (leaves + c.src) and b = ref (leaves + c.dst) in
+      while !a <> !b do
+        if !a > !b then begin
+          up.(!a) <- 0;
+          a := !a / 2
+        end
+        else begin
+          down.(!b) <- 0;
+          b := !b / 2
+        end
+      done)
+    comms;
+  Domain.DLS.set last_scratch (Some s);
   !m
 
 (* Generalized congestion over an explicit parent table (any tree whose

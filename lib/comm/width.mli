@@ -22,7 +22,10 @@ val crossings : leaves:int -> Comm_set.t -> crossings
 (** Per-link congestion in O(M log leaves). *)
 
 val width : leaves:int -> Comm_set.t -> int
-(** Maximum entry of {!crossings}; 0 for the empty set. *)
+(** Maximum entry of {!crossings}; 0 for the empty set.  O(M log
+    leaves) on a per-domain scratch that is reset through the links it
+    charged, so only the first call at a leaf count allocates the
+    tree-sized tables. *)
 
 val width_auto : Comm_set.t -> int
 (** {!width} with [leaves] = smallest adequate power of two. *)

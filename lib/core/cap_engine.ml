@@ -52,7 +52,7 @@ let simulate ~log topo set =
   else
     match Cst_comm.Well_nested.check set with
     | Error v -> Error (Sched_error.Not_well_nested v)
-    | Ok _ ->
+    | Ok () ->
         let levels = Cst.Topology.levels topo in
         let num_nodes = Cst.Topology.num_nodes topo in
         let first_leaf = Cst.Topology.first_leaf topo in

@@ -25,7 +25,7 @@ let run ?(eager_clear = false) ?net ?log topo set =
   else
     match Cst_comm.Well_nested.check set with
     | Error v -> Error (Not_well_nested v)
-    | Ok _forest ->
+    | Ok () ->
         let phase1 = Phase1.run topo set in
         let net =
           match net with

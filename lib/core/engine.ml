@@ -110,7 +110,7 @@ let simulate ?log topo set =
   else
     match Cst_comm.Well_nested.check set with
     | Error v -> Error (Csa.Not_well_nested v)
-    | Ok _ ->
+    | Ok () ->
         with_workspace topo @@ fun ws ->
         let levels = Cst.Topology.levels topo in
         let net = Cst.Net.create ?log topo in

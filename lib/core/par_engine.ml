@@ -19,7 +19,7 @@ let decompose topo set =
   else
     match Cst_comm.Well_nested.check set with
     | Error v -> Error (Csa.Not_well_nested v)
-    | Ok _ ->
+    | Ok () ->
         let spans =
           if Cst.Topology.is_binary topo then None else Some (span_ladder topo)
         in

@@ -275,6 +275,42 @@ module Codec = struct
                   Error (Bad_field "binary shape in a version-2 plan")
                 else Ok (shape_len, shape)
 
+  (* Every event must lie where a run of the plan's set can reach: a
+     config event at a switch of the plan's tree (on binary shapes, of
+     its block's subtree — what [relocate] assumes when it rebases), a
+     delivery between two PEs of the block.  Checked event by event at
+     decode, so a digest-valid file that names a node outside its tree
+     is a typed error here, not a crash at replay. *)
+  let events_fit ~shape ~leaves ~base ~align log =
+    let switches = Cst.Shape.num_nodes shape - leaves in
+    let in_block =
+      if Cst.Shape.is_binary shape then begin
+        (* heap numbering: the block's root is the node whose leaf
+           interval is the block, and a node [j] levels below it lies in
+           [root * 2^j, (root + 1) * 2^j) *)
+        let root = (leaves + base) / align in
+        let root_depth = Cst_util.Bits.ilog2 root in
+        fun v ->
+          let j = Cst_util.Bits.ilog2 v - root_depth in
+          j >= 0 && v lsr j = root
+      end
+      else fun _ -> true
+    in
+    let switch_ok v = v >= 1 && v <= switches && in_block v in
+    let pe_ok p = p >= base && p < base + align in
+    Cst.Exec_log.fold log ~init:true ~f:(fun ok e ->
+        ok
+        &&
+        match e with
+        | Cst.Exec_log.Connect { node; _ }
+        | Cst.Exec_log.Disconnect { node; _ }
+        | Cst.Exec_log.Write_config { node; _ } ->
+            switch_ok node
+        | Cst.Exec_log.Deliver { src; dst } -> pe_ok src && pe_ok dst
+        | Cst.Exec_log.Phase_done _ | Cst.Exec_log.Round_begin _
+        | Cst.Exec_log.Run_end _ ->
+            true)
+
   let decode b =
     let len = Bytes.length b in
     if len < header_bytes then
@@ -372,6 +408,9 @@ module Codec = struct
                                 Cst.Exec_log.Codec.shape_fp ~pos:log_pos b
                                 <> Ok (Cst.Shape.fingerprint shape)
                               then Error (Bad_field "shape fingerprint")
+                              else if
+                                not (events_fit ~shape ~leaves ~base ~align log)
+                              then Error (Bad_field "event outside the block")
                               else
                                 Ok
                                   {

@@ -81,9 +81,10 @@ val replay : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
     relocated log ({!Schedule.of_log}) and the cycle and control-message
     counts re-modeled for the target tree size — no scheduling.
     Accepts and rejects exactly the inputs {!relocate} does, with the
-    same [Invalid_argument].  O(events + tree nodes): the relocation is
-    O(events), the schedule derivation adds the tree-sized power ledger
-    and width table.  The schedule's log range is [log]: at the
+    same [Invalid_argument].  The relocation is O(events); the schedule
+    derivation ({!Schedule.of_log}) adds O(comms × levels) for the width
+    and a scan of the power ledger's tree-sized bitset, 32 switches per
+    word.  The schedule's log range is [log]: at the
     compiled placement and tree size it is the plan's own (never
     mutated) arena, so streamed snapshots ({!Schedule.fold_configs})
     read the cached plan directly. *)
@@ -140,9 +141,10 @@ val pp : Format.formatter -> t -> unit
     the one stored in the log header — so a plan whose offsets and log
     were spliced from different plans is rejected as
     {!Codec.error.Canon_mismatch}, not returned as a plausible
-    frankenplan — and the shape block is revalidated through
+    frankenplan — the shape block is revalidated through
     {!Cst.Shape.create} with its fingerprint checked against the log
-    section's. *)
+    section's, and every log event is checked to lie inside the plan's
+    block. *)
 module Codec : sig
   type error =
     | Truncated of { expected : int; got : int }
@@ -155,7 +157,10 @@ module Codec : sig
     | Bad_field of string
         (** a digest-valid field is semantically impossible (producer
             byte, non-canonical offsets, leaves not a power of two,
-            incompatible placement, negative count) *)
+            incompatible placement, negative count, or a log event that
+            names a node that is not a switch of the plan's tree — on
+            binary shapes, not one of its block's subtree — or a
+            delivery PE outside the block) *)
     | Log of Cst.Exec_log.Codec.error  (** embedded log section failed *)
 
   val pp_error : Format.formatter -> error -> unit

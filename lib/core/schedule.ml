@@ -12,9 +12,7 @@ type power = {
   max_connects_per_switch : int;
   max_writes_per_switch : int;
   max_events_per_switch : int;
-  per_switch_connects : int array;
-  per_switch_writes : int array;
-  per_switch_disconnects : int array;
+  ledger : Cst.Power_meter.t;
 }
 
 type source = { log : Cst.Exec_log.t; from : int; upto : int }
@@ -47,67 +45,27 @@ let power_of_meter meter =
     max_connects_per_switch = Cst.Power_meter.max_connects_per_switch meter;
     max_writes_per_switch = Cst.Power_meter.max_writes_per_switch meter;
     max_events_per_switch = Cst.Power_meter.max_events_per_switch meter;
-    per_switch_connects = Cst.Power_meter.per_switch_connects meter;
-    per_switch_writes = Cst.Power_meter.per_switch_writes meter;
-    per_switch_disconnects = Cst.Power_meter.per_switch_disconnects meter;
+    ledger = meter;
   }
 
-let zero_power ~num_nodes =
-  {
-    total_connects = 0;
-    total_disconnects = 0;
-    total_writes = 0;
-    max_connects_per_switch = 0;
-    max_writes_per_switch = 0;
-    max_events_per_switch = 0;
-    per_switch_connects = Array.make (num_nodes + 1) 0;
-    per_switch_writes = Array.make (num_nodes + 1) 0;
-    per_switch_disconnects = Array.make (num_nodes + 1) 0;
-  }
-
-let add_arrays a b =
-  let n = max (Array.length a) (Array.length b) in
-  Array.init n (fun i ->
-      (if i < Array.length a then a.(i) else 0)
-      + if i < Array.length b then b.(i) else 0)
-
-let max_of = Array.fold_left max 0
+let per_switch_connects p = Cst.Power_meter.per_switch_connects p.ledger
+let per_switch_writes p = Cst.Power_meter.per_switch_writes p.ledger
+let per_switch_disconnects p = Cst.Power_meter.per_switch_disconnects p.ledger
+let zero_power ~num_nodes = power_of_meter (Cst.Power_meter.zero ~num_nodes)
 
 let combine_power a b =
-  (* A switch busy in both parts accumulates: the per-part maxima cannot
-     simply be maxed, they are recomputed from the summed arrays. *)
-  let connects = add_arrays a.per_switch_connects b.per_switch_connects in
-  let writes = add_arrays a.per_switch_writes b.per_switch_writes in
-  let disconnects =
-    add_arrays a.per_switch_disconnects b.per_switch_disconnects
-  in
-  let events = add_arrays connects disconnects in
-  {
-    total_connects = a.total_connects + b.total_connects;
-    total_disconnects = a.total_disconnects + b.total_disconnects;
-    total_writes = a.total_writes + b.total_writes;
-    max_connects_per_switch = max_of connects;
-    max_writes_per_switch = max_of writes;
-    max_events_per_switch = max_of events;
-    per_switch_connects = connects;
-    per_switch_writes = writes;
-    per_switch_disconnects = disconnects;
-  }
+  power_of_meter (Cst.Power_meter.add a.ledger b.ledger)
 
 let mirror_power topo p =
-  let remap a =
-    Array.mapi
-      (fun i v ->
-        if i >= 1 && i <= Cst.Topology.num_nodes topo then
-          a.(Cst.Topology.mirror_node topo i)
-        else v)
-      a
-  in
+  let num_nodes = Cst.Topology.num_nodes topo in
   {
     p with
-    per_switch_connects = remap p.per_switch_connects;
-    per_switch_writes = remap p.per_switch_writes;
-    per_switch_disconnects = remap p.per_switch_disconnects;
+    ledger =
+      Cst.Power_meter.remap
+        (fun v ->
+          if v >= 1 && v <= num_nodes then Cst.Topology.mirror_node topo v
+          else v)
+        p.ledger;
   }
 
 (* The schedule as a pure derivation of the execution log.  Sources are

@@ -19,9 +19,10 @@ type power = {
   max_writes_per_switch : int;
       (** O(1) under CSA, O(w) under per-round scheduling *)
   max_events_per_switch : int;
-  per_switch_connects : int array;  (** indexed by node id *)
-  per_switch_writes : int array;
-  per_switch_disconnects : int array;
+  ledger : Cst.Power_meter.t;
+      (** the sparse per-switch counts: only the switches the run
+          touched; {!per_switch_connects} and its siblings give the
+          dense views *)
 }
 
 type source = { log : Cst.Exec_log.t; from : int; upto : int }
@@ -58,8 +59,11 @@ val of_log :
   t
 (** Derive a schedule from a log range (default: the whole log as it
     stands): rounds and deliveries from one
-    [Cst.Exec_log.fold_rounds ~snapshots:false] pass, power from
-    {!Cst.Power_meter.of_log}.  No configuration is copied:
+    [Cst.Exec_log.fold_rounds ~snapshots:false] pass, the sparse power
+    ledger from {!Cst.Power_meter.of_log} and the width from
+    {!Cst_comm.Width.width}.  Both run on per-domain scratch, so once a
+    domain has derived a schedule on a binary tree of this size, a small
+    job allocates nothing tree-sized.  No configuration is copied:
     [keep_configs] (default true) retains the log range as [source], in
     O(1); [false] retains nothing, so {!fold_configs} folds no round.
     [cycles] stays caller-supplied because the synchronous-cycle
@@ -91,23 +95,31 @@ val all_deliveries : t -> (int * int) list
 val deliveries_per_round : t -> int array
 
 val power_of_meter : Cst.Power_meter.t -> power
-(** The meter's summary.  O(1): the per-switch arrays are the meter's
-    own, not copies. *)
+(** The meter's summary, carrying the meter as its ledger.  O(1). *)
+
+val per_switch_connects : power -> int array
+(** Dense view of the ledger, built on demand: indexed by node id,
+    length [num_nodes + 1] of the largest tree combined into the record
+    (index 0 unused).  O(num_nodes) per call. *)
+
+val per_switch_writes : power -> int array
+val per_switch_disconnects : power -> int array
 
 val zero_power : num_nodes:int -> power
 (** Neutral element of {!combine_power}. *)
 
 val combine_power : power -> power -> power
 (** Componentwise combination for multi-part schedules (waves, mixed
-    orientations, traffic phases): totals and per-switch arrays add
-    (arrays of different lengths are padded), and the per-switch maxima
-    are recomputed from the summed arrays — a switch busy in both parts
-    can exceed either part's maximum. *)
+    orientations, traffic phases): the ledgers add switch by switch
+    ({!Cst.Power_meter.add}; the dense views of different tree sizes
+    are padded), and the totals and per-switch maxima are those of the
+    sum — a switch busy in both parts can exceed either part's
+    maximum.  O(touched switches). *)
 
 val mirror_power : Cst.Topology.t -> power -> power
-(** Re-expresses per-switch arrays of a schedule computed on the mirrored
-    tree in original node coordinates ({!Cst.Topology.mirror_node});
-    totals and maxima are reflection-invariant. *)
+(** Re-expresses the ledger of a schedule computed on the mirrored tree
+    in original node coordinates ({!Cst.Topology.mirror_node}); totals
+    and maxima are reflection-invariant. *)
 
 val pp_round : Format.formatter -> round -> unit
 val pp : Format.formatter -> t -> unit

@@ -159,38 +159,158 @@ let sub t ~from =
   Array.blit t.buf from buf 0 len;
   { buf; len }
 
+type config_kind = Connects | Disconnects | Writes
+
+let iter_config ?from ?upto t f =
+  let from, upto = clamp ?from ?upto t in
+  for i = from to upto - 1 do
+    let w = t.buf.(i) in
+    let tag = w land 7 in
+    if tag = tag_connect then f Connects ((w lsr 3) land field_mask) 1
+    else if tag = tag_disconnect then
+      f Disconnects ((w lsr 3) land field_mask) 1
+    else if tag = tag_write_config then
+      f Writes ((w lsr 3) land field_mask) ((w lsr 23) land field_mask)
+  done
+
 (* Structural digest: FNV-1a-style multiply-xor over the packed words,
    truncated to OCaml's 63-bit native int.  Config events (connect /
    disconnect / write-config) between two non-config events are hashed
    in sorted order: a round's configuration delta is a *set* of switch
    transitions, and producers are free to discover switches in any order
    (the spec scheduler scans nodes in ascending id, the sparse engine in
-   DFS preorder).  Round structure and delivery order hash as emitted. *)
+   DFS preorder).  Round structure and delivery order hash as emitted.
+
+   A run of config words is copied into a per-domain int buffer and
+   sorted there, so a digest allocates nothing once the buffer fits the
+   longest run.  The buffer is taken out of its slot during the digest
+   (an exception leaves none behind) and put back afterwards if it holds
+   at most 1024 words or at most twice the longest run of this digest. *)
 let fnv_prime = 0x100000001b3
+
+let[@inline] is_config w =
+  let tag = w land 7 in
+  tag = tag_connect || tag = tag_disconnect || tag = tag_write_config
+
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* Heapsort of [a.(lo) .. a.(hi - 1)]: the fallback that keeps
+   [sort_range] O(k log k) on any input. *)
+let heap_sort (a : int array) lo hi =
+  let n = hi - lo in
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
+      if a.(lo + c) > a.(lo + i) then begin
+        let t = a.(lo + c) in
+        a.(lo + c) <- a.(lo + i);
+        a.(lo + i) <- t;
+        sift c len
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for len = n - 1 downto 1 do
+    let t = a.(lo) in
+    a.(lo) <- a.(lo + len);
+    a.(lo + len) <- t;
+    sift 0 len
+  done
+
+(* Introsort of [a.(lo) .. a.(hi - 1)] in place: median-of-three
+   quicksort, insertion sort below 16 elements, heapsort once the
+   recursion is [depth] levels deep. *)
+let rec sort_range (a : int array) lo hi depth =
+  if hi - lo <= 16 then insertion_sort a lo hi
+  else if depth = 0 then heap_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    let x = a.(lo) and y = a.(mid) and z = a.(hi - 1) in
+    let pivot =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while a.(!j) > pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    sort_range a lo (!j + 1) (depth - 1);
+    sort_range a !i hi (depth - 1)
+  end
+
+let sort_buffer : int array option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let digest ?from ?upto t =
   let from, upto = clamp ?from ?upto t in
-  let h = ref 0x3bf29ce484222325 in
-  let mix w = h := ((!h lxor w) * fnv_prime) land max_int in
-  let pending = ref [] in
-  let flush () =
-    match !pending with
-    | [] -> ()
-    | ws ->
-        List.iter mix (List.sort compare ws);
-        pending := []
+  let buf =
+    ref
+      (match Domain.DLS.get sort_buffer with
+      | Some b ->
+          Domain.DLS.set sort_buffer None;
+          b
+      | None -> [||])
   in
-  for i = from to upto - 1 do
-    let w = t.buf.(i) in
-    let tag = w land 7 in
-    if tag = tag_connect || tag = tag_disconnect || tag = tag_write_config then
-      pending := w :: !pending
+  let longest = ref 0 in
+  let h = ref 0x3bf29ce484222325 in
+  let[@inline] mix w = h := ((!h lxor w) * fnv_prime) land max_int in
+  let i = ref from in
+  while !i < upto do
+    let w = t.buf.(!i) in
+    if not (is_config w) then begin
+      mix w;
+      incr i
+    end
     else begin
-      flush ();
-      mix w
+      let j = ref (!i + 1) in
+      while !j < upto && is_config t.buf.(!j) do
+        incr j
+      done;
+      let k = !j - !i in
+      if k > !longest then longest := k;
+      if k = 1 then mix w
+      else begin
+        if k > Array.length !buf then
+          buf := Array.make (max k (max 64 (2 * Array.length !buf))) 0;
+        let b = !buf in
+        Array.blit t.buf !i b 0 k;
+        sort_range b 0 k (2 * Cst_util.Bits.ilog2 k);
+        for x = 0 to k - 1 do
+          mix b.(x)
+        done
+      end;
+      i := !j
     end
   done;
-  flush ();
+  let cap = Array.length !buf in
+  if cap > 0 && (cap <= 1024 || cap <= 2 * !longest) then
+    Domain.DLS.set sort_buffer (Some !buf);
   Printf.sprintf "%016x" !h
 
 (* Round-structured replay.  Configuration state is replayed from the

@@ -77,6 +77,16 @@ val fold : ?from:int -> ?upto:int -> t -> init:'a -> f:('a -> event -> 'a) -> 'a
 val sub : t -> from:int -> t
 (** Fresh log holding the events at positions [from ..]. *)
 
+type config_kind = Connects | Disconnects | Writes
+
+val iter_config :
+  ?from:int -> ?upto:int -> t -> (config_kind -> int -> int -> unit) -> unit
+(** [iter_config t f] calls [f kind node count] for every [Connect]
+    ([Connects], count 1), [Disconnect] ([Disconnects], count 1) and
+    [Write_config] ([Writes], its write count) in the range, in log
+    order.  It reads the packed words directly: no event is decoded or
+    allocated.  Nodes are reported as logged, unchecked. *)
+
 val rebase :
   ?in_place:bool ->
   t ->
@@ -166,7 +176,9 @@ val digest : ?from:int -> ?upto:int -> t -> string
     as a sorted set, because a round's configuration delta has no
     meaningful order — the spec scheduler emits it in ascending node id
     while the sparse engine emits it in DFS preorder.  Round structure
-    and delivery order are hashed as emitted. *)
+    and delivery order are hashed as emitted.  Each run of config events
+    is sorted in a per-domain int buffer, so a digest allocates only its
+    result string once the buffer fits the longest run. *)
 
 val driver_alternations : ?from:int -> ?upto:int -> t -> node:int -> int
 (** Theorem 8 quantity (Lemmas 6/7): how often the busiest output port

@@ -27,16 +27,43 @@
     the start of the run as [~from]. *)
 
 type t
+(** A sparse ledger: the switches the metered range touches, ascending
+    by node id, each with its connect, disconnect and write counts, plus
+    the totals and per-switch maxima.  A switch whose counts are all
+    zero is never held, so a ledger is a canonical function of the
+    dense counts and the tree size: ledgers of equal counts on equal
+    trees are equal under [=]. *)
 
 val of_log : ?from:int -> ?upto:int -> num_nodes:int -> Exec_log.t -> t
 (** Charge every [Connect] / [Disconnect] / [Write_config] event in the
-    range to its switch.  [num_nodes] sizes the ledger: switches live
-    at nodes [1 .. num_nodes].  The totals and per-switch maxima below
-    are kept during this one pass, so reading them is O(1). *)
+    range to its switch.  Switches live at nodes [1 .. num_nodes]; a
+    config event naming any other node raises [Invalid_argument].  The
+    pass reads the log's packed words ({!Exec_log.iter_config}) into a
+    per-domain scratch of [3 (num_nodes + 1)] counts and a bitset of
+    touched switches, then emits the touched switches in order by
+    scanning the bitset, zeroing the scratch as it goes: O(events +
+    num_nodes / 32), and nothing tree-sized is allocated once the
+    domain has metered a tree of this size.  The scratch is reused only
+    for a tree of the same size, and a call that raised leaves none
+    behind. *)
+
+val zero : num_nodes:int -> t
+(** The empty ledger of a tree with nodes [1 .. num_nodes]. *)
+
+val add : t -> t -> t
+(** Switch-by-switch sum, sized to the larger tree.  The totals add;
+    the maxima are recomputed, since a switch busy in both can exceed
+    either's maximum.  O(touched). *)
+
+val remap : (int -> int) -> t -> t
+(** Moves every switch [v] to [f v], re-sorting; [f] must be injective
+    on the ledger's switches and keep them inside the tree.  Totals and
+    maxima are unchanged. *)
 
 val connects : t -> node:int -> int
 val disconnects : t -> node:int -> int
 val writes : t -> node:int -> int
+(** O(log touched); 0 for a switch the ledger does not hold. *)
 
 val total_connects : t -> int
 (** Total physical power units (paper model, charitable accounting). *)
@@ -53,9 +80,12 @@ val max_writes_per_switch : t -> int
 val max_events_per_switch : t -> int
 (** Connects plus disconnects, maximised over switches. *)
 
+val touched : t -> int
+(** Number of switches held. *)
+
 val per_switch_connects : t -> int array
-(** Indexed by node id (index 0 unused).  The meter's own array, not a
-    copy — a meter is never updated after {!of_log}; do not mutate. *)
+(** Dense view, built on demand: indexed by node id, length
+    [num_nodes + 1] (index 0 unused).  A fresh array per call. *)
 
 val per_switch_writes : t -> int array
 val per_switch_disconnects : t -> int array

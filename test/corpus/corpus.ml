@@ -327,7 +327,11 @@ let power_text (p : Padr.Schedule.power) =
     p.total_connects p.total_disconnects p.total_writes
     p.max_connects_per_switch p.max_writes_per_switch p.max_events_per_switch
     (hash_ints
-       [ p.per_switch_connects; p.per_switch_writes; p.per_switch_disconnects ])
+       [
+         Padr.Schedule.per_switch_connects p;
+         Padr.Schedule.per_switch_writes p;
+         Padr.Schedule.per_switch_disconnects p;
+       ])
 
 let superstep_line label out (s : Cst_algos.Superstep.stats) =
   line "multi" label

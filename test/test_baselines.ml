@@ -97,7 +97,7 @@ let test_min_connects_bound () =
       if node >= 1 && node < 16 then
         check_true
           (Printf.sprintf "switch %d: csa >= floor" node)
-          (s.power.per_switch_connects.(node) >= f))
+          (Cst.Power_meter.connects s.power.ledger ~node >= f))
     floor_
 
 let test_min_total_connects () =

@@ -18,12 +18,7 @@ let check_power msg (a : Padr.Schedule.power) (b : Padr.Schedule.power) =
     b.max_writes_per_switch;
   check_int (msg ^ ": max events/switch") a.max_events_per_switch
     b.max_events_per_switch;
-  check_true (msg ^ ": per-switch connects")
-    (a.per_switch_connects = b.per_switch_connects);
-  check_true (msg ^ ": per-switch writes")
-    (a.per_switch_writes = b.per_switch_writes);
-  check_true (msg ^ ": per-switch disconnects")
-    (a.per_switch_disconnects = b.per_switch_disconnects)
+  check_true (msg ^ ": per-switch ledger") (a.ledger = b.ledger)
 
 let check_round msg (a : Padr.Schedule.round) (b : Padr.Schedule.round) =
   check_int (msg ^ ": index") a.index b.index;

@@ -246,6 +246,48 @@ let warm_service_equiv engine () =
   check_true "warm run actually hit the disk tier"
     ((Store.stats st).hits > 0)
 
+(* A digest-valid plan whose log names a switch outside its 64-leaf
+   tree: written through the store's own API, so every digest holds.
+   Decode must reject it, the store must quarantine it, and the job must
+   recompile to the outcome an uncached run gives. *)
+let forged_plan_recompiles () =
+  let dir = temp_dir () in
+  let pairs = [ (0, 3); (1, 2); (8, 9) ] in
+  let s = set ~n:64 pairs in
+  let t = topo 64 in
+  let plan = compile ~n:64 pairs in
+  let forged_log = Cst.Exec_log.create () in
+  let moved = ref false in
+  Cst.Exec_log.iter plan.log (function
+    | Cst.Exec_log.Connect c when not !moved ->
+        moved := true;
+        Cst.Exec_log.append forged_log
+          (Cst.Exec_log.Connect { c with node = 5000 })
+    | e -> Cst.Exec_log.append forged_log e);
+  check_true "a connect was moved" !moved;
+  let forged =
+    Padr.Plan.of_log ~producer:plan.producer ~topo:t ~set:s
+      ~rounds:plan.rounds ~cycles:plan.cycles
+      ~control_messages:plan.control_messages forged_log
+  in
+  (match Padr.Plan.Codec.decode (Padr.Plan.Codec.encode forged) with
+  | Error (Padr.Plan.Codec.Bad_field _) -> ()
+  | Error e ->
+      Alcotest.failf "forged plan: unexpected error %a"
+        Padr.Plan.Codec.pp_error e
+  | Ok _ -> Alcotest.fail "forged plan must not decode");
+  let st = Store.open_dir dir in
+  Store.store st ~algo:"csa" ~engine:true forged;
+  let job = [ Service.job ~id:0 ~algo:"csa" ~engine:Service.Message_passing s ] in
+  let uncached =
+    List.map Service.outcome_to_string (Service.run ~domains:1 ~cache:false job)
+  in
+  let served =
+    List.map Service.outcome_to_string (Service.run ~domains:1 ~store:st job)
+  in
+  check_int "forged file counted corrupt" 1 (Store.stats st).corrupt;
+  check_true "outcome equals the uncached one" (served = uncached)
+
 let suite =
   [
     case "store round trip and keying" store_roundtrip;
@@ -253,6 +295,8 @@ let suite =
     case "corruption: flipped arena byte" corruption_arena_flip;
     case "corruption: wrong version" corruption_version;
     case "corruption: wrong canon hash" corruption_canon_hash;
+    case "forged plan: node outside the tree recompiles"
+      forged_plan_recompiles;
     case "byte-budget eviction" eviction;
     case "cache flush and warm fault-in" cache_flush_warm;
     case "warm restart ≡ cold (message-passing)"

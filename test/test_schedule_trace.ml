@@ -62,18 +62,22 @@ let test_combine_power_accumulates () =
 (* A switch busy in both parts: its combined count is the sum, so the
    combined maximum exceeds either part's own maximum. *)
 let test_combine_power_shared_switch () =
+  (* [connects.(v)] connects at switch [v] of a 3-switch tree *)
   let part connects =
-    {
-      (Padr.Schedule.zero_power ~num_nodes:3) with
-      total_connects = Array.fold_left ( + ) 0 connects;
-      max_connects_per_switch = Array.fold_left max 0 connects;
-      max_events_per_switch = Array.fold_left max 0 connects;
-      per_switch_connects = connects;
-    }
+    let log = Cst.Exec_log.create () in
+    Array.iteri
+      (fun node k ->
+        for _ = 1 to k do
+          Cst.Exec_log.connect log ~node ~out_port:Cst.Side.P
+            ~in_port:Cst.Side.L
+        done)
+      connects;
+    Padr.Schedule.power_of_meter (Cst.Power_meter.of_log ~num_nodes:3 log)
   in
   let a = part [| 0; 2; 3; 0 |] and b = part [| 0; 2; 0; 1 |] in
   let c = Padr.Schedule.combine_power a b in
-  check_true "arrays add" (c.per_switch_connects = [| 0; 4; 3; 1 |]);
+  check_true "arrays add"
+    (Padr.Schedule.per_switch_connects c = [| 0; 4; 3; 1 |]);
   check_int "combined max" 4 c.max_connects_per_switch;
   check_int "combined events max" 4 c.max_events_per_switch;
   check_true "above either part's"
@@ -90,7 +94,8 @@ let test_mirror_power_preserves_totals () =
   (* reflecting twice is the identity on the arrays *)
   let mm = Padr.Schedule.mirror_power t m in
   check_true "involution"
-    (mm.per_switch_connects = s.power.per_switch_connects)
+    (Padr.Schedule.per_switch_connects mm
+    = Padr.Schedule.per_switch_connects s.power)
 
 let test_trace_of_log () =
   let log = Cst.Exec_log.create () in

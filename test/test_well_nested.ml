@@ -22,7 +22,8 @@ let test_forest_structure () =
   let s = set ~n:10 [ (0, 9); (1, 4); (2, 3); (5, 8); (6, 7) ] in
   match Cst_comm.Well_nested.check s with
   | Error _ -> Alcotest.fail "should be well-nested"
-  | Ok f ->
+  | Ok () ->
+      let f = Cst_comm.Nest_forest.build s in
       (* comm indices are sorted by source: 0:(0,9) 1:(1,4) 2:(2,3)
          3:(5,8) 4:(6,7) *)
       check_true "roots" (Cst_comm.Nest_forest.roots f = [ 0 ]);
@@ -37,7 +38,8 @@ let test_forest_flat () =
   let s = set ~n:8 [ (0, 1); (2, 3); (4, 5) ] in
   match Cst_comm.Well_nested.check s with
   | Error _ -> Alcotest.fail "should be well-nested"
-  | Ok f ->
+  | Ok () ->
+      let f = Cst_comm.Nest_forest.build s in
       check_true "all roots" (Cst_comm.Nest_forest.roots f = [ 0; 1; 2 ]);
       check_int "max depth" 1 (Cst_comm.Nest_forest.max_depth f)
 
@@ -45,14 +47,17 @@ let test_forest_dfs () =
   let s = set ~n:10 [ (0, 9); (1, 4); (2, 3); (5, 8); (6, 7) ] in
   match Cst_comm.Well_nested.check s with
   | Error _ -> Alcotest.fail "well-nested"
-  | Ok f ->
+  | Ok () ->
+      let f = Cst_comm.Nest_forest.build s in
       let order = ref [] in
       Cst_comm.Nest_forest.iter_dfs f (fun i -> order := i :: !order);
       check_true "preorder" (List.rev !order = [ 0; 1; 2; 3; 4 ])
 
 let test_forest_empty () =
-  match Cst_comm.Well_nested.check (set ~n:4 []) with
-  | Ok f ->
+  let s = set ~n:4 [] in
+  match Cst_comm.Well_nested.check s with
+  | Ok () ->
+      let f = Cst_comm.Nest_forest.build s in
       check_int "size" 0 (Cst_comm.Nest_forest.size f);
       check_int "depth" 0 (Cst_comm.Nest_forest.max_depth f)
   | Error _ -> Alcotest.fail "empty set is well-nested"
@@ -75,7 +80,8 @@ let prop_depth_bounds_width =
       let s = set_of_params params in
       match Cst_comm.Well_nested.check s with
       | Error _ -> false
-      | Ok f ->
+      | Ok () ->
+          let f = Cst_comm.Nest_forest.build s in
           Cst_comm.Width.width_auto s <= max 1 (Cst_comm.Nest_forest.max_depth f)
           || Cst_comm.Comm_set.size s = 0)
 

@@ -70,6 +70,24 @@ let prop_width_le_size =
       let s = set_of_params params in
       Cst_comm.Width.width_auto s <= max 1 (Cst_comm.Comm_set.size s))
 
+(* [width] runs on a per-domain scratch that must be all zero again
+   after every call: interleaving leaf counts and repeating a call never
+   changes its answer, which is the largest [crossings] entry. *)
+let prop_width_scratch_resets =
+  prop "width = max crossings across scratch reuse" (fun params ->
+      let s = set_of_params params in
+      let leaves = Cst_util.Bits.ceil_pow2 (max 2 (Cst_comm.Comm_set.n s)) in
+      let reference =
+        let c = Cst_comm.Width.crossings ~leaves s in
+        max (Array.fold_left max 0 c.up) (Array.fold_left max 0 c.down)
+      in
+      let first = Cst_comm.Width.width ~leaves s in
+      let again = Cst_comm.Width.width ~leaves s in
+      let bigger = Cst_comm.Width.width ~leaves:(2 * leaves) s in
+      let after = Cst_comm.Width.width ~leaves s in
+      first = reference && again = reference && bigger = reference
+      && after = reference)
+
 let suite =
   [
     case "hand-computed widths" test_hand_computed;
@@ -83,4 +101,5 @@ let suite =
     prop_fast_equals_naive;
     prop_width_positive;
     prop_width_le_size;
+    prop_width_scratch_resets;
   ]
