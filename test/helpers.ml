@@ -49,3 +49,26 @@ let check_raises_invalid msg f =
   match f () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail (msg ^ ": expected Invalid_argument")
+
+(* Brute-force capacity-weighted width of the union of [sets] on
+   [topo]: count every directed link of every member's footprint in a
+   table, then take the largest count ceiled by its link's capacity.
+   The independent oracle for every incremental width in the library. *)
+let recount_width topo sets =
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      Array.iter
+        (fun c ->
+          List.iter
+            (fun link ->
+              let k = Option.value ~default:0 (Hashtbl.find_opt counts link) in
+              Hashtbl.replace counts link (k + 1))
+            (Cst.Compat.link_footprint topo c))
+        (Cst_comm.Comm_set.comms s))
+    sets;
+  Hashtbl.fold
+    (fun (v, _) k m ->
+      let cap = Cst.Topology.uplink_cap topo v in
+      max m ((k + cap - 1) / cap))
+    counts 0

@@ -430,6 +430,64 @@ let test_stream_sections () =
       check_bool ("STATS json mentions " ^ needle) true (contains json needle))
     [ "\"stream\""; "\"epochs\""; "\"total_power\""; "\"plan_cache\"" ]
 
+(* --- merged width against an independent recount -------------------- *)
+
+(* Binary, k-ary and fat trees, the fat uplinks carrying 1-3 circuits. *)
+let random_tree_shape rng =
+  let pick n = Cst_util.Prng.int rng n in
+  match pick 3 with
+  | 0 -> Cst.Shape.binary ~leaves:(4 lsl pick 4)
+  | 1 ->
+      if pick 2 = 0 then Cst.Shape.kary ~k:3 ~leaves:27
+      else Cst.Shape.kary ~k:4 ~leaves:16
+  | _ ->
+      Result.get_ok
+        (Cst.Shape.fat_tree
+           ~level_sizes:[| 8 lsl pick 3; 2 lsl pick 2 |]
+           ~capacities:[| 1 + pick 3; 1 + pick 3 |])
+
+(* Every member of a never-committing epoch shares one tree, so the
+   epoch's merged width is the width of the union of the members; a
+   width-capped stream opens no epoch wider than its cap unless one job
+   alone is wider. *)
+let test_epoch_width_recount =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40
+       ~name:"epoch width = recount of the members' footprints"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let rng = Cst_util.Prng.create seed in
+         let shape = random_tree_shape rng in
+         let topo = Cst.Topology.of_shape shape in
+         let n = Cst.Shape.leaves shape in
+         let sets =
+           List.init
+             (2 + Cst_util.Prng.int rng 5)
+             (fun _ ->
+               Cst_workloads.Gen_wn.uniform rng ~n
+                 ~density:(0.2 +. Cst_util.Prng.float rng 0.8))
+         in
+         let run policy =
+           let clock, _ = manual_clock () in
+           let st = Stream.create ~domains:1 ~policy ~clock () in
+           List.iteri
+             (fun id s -> Stream.submit st (Service.job ~shape ~id ~algo:"csa" s))
+             sets;
+           ignore (Stream.drain st);
+           let s = Stream.stats st in
+           Stream.shutdown st;
+           s.max_epoch_width
+         in
+         let merged = recount_width topo sets in
+         let widest_job =
+           List.fold_left (fun m s -> max m (recount_width topo [ s ])) 0 sets
+         in
+         let cap = 1 + Cst_util.Prng.int rng (max 1 merged) in
+         run (Admission.Quantum 1e9) = merged
+         && run
+              (Admission.Delta_threshold { delta = 1e9; max_width = Some cap })
+            <= max cap widest_job))
+
 let suite =
   [
     case "admission: immediate" test_immediate_policy;
@@ -452,4 +510,5 @@ let suite =
     case "arrivals: bursty" test_bursty_trace;
     case "stats: renderer" test_stats_renderer;
     case "stats: stream sections" test_stream_sections;
+    test_epoch_width_recount;
   ]
