@@ -1074,13 +1074,7 @@ let topology_bench ~fast =
   List.map
     (fun shape ->
       let topo = Cst.Topology.of_shape shape in
-      let width =
-        Cst_comm.Width.width_on
-          ~parent:(Cst.Topology.parent_table topo)
-          ~first_leaf:(Cst.Topology.first_leaf topo)
-          ~cap:(Cst.Topology.cap_table topo)
-          set
-      in
+      let width = Cst.Compat.width topo set in
       let sched = Padr.Csa.run_exn topo set in
       let ns, _, reps =
         measure ~budget_s (fun () ->

@@ -37,12 +37,18 @@ let load_with of_string path =
 let load_set = load_with Cst_comm.Comm_set.of_string
 let load_mapping = load_with Cst_placement.Mapping.of_string
 
+(* Generators build the whole O(n) set, so [n] is bounded by the
+   largest tree a job may run on before any of it is built. *)
 let gen_set ~workload ~n ~seed =
   match Cst_workloads.Suite.find workload with
   | None ->
       Error
         (Printf.sprintf "unknown workload %S (known: %s)" workload
            (String.concat ", " Cst_workloads.Suite.names))
+  | Some _ when n > Service.max_leaves ->
+      Error
+        (Printf.sprintf "workload %s rejects n=%d: trees have at most %d leaves"
+           workload n Service.max_leaves)
   | Some g -> (
       try Ok (g.make (Cst_util.Prng.create seed) ~n)
       with Invalid_argument m ->
@@ -98,14 +104,16 @@ let obtain_mapping place =
       | Ok m -> Some m
       | Error e -> exit_err e)
 
-(* One engine spelling across route/batch/serve. *)
-let engine_conv =
-  Arg.enum
-    [
-      ("spec", Service.Spec);
-      ("mp", Service.Message_passing);
-      ("segmented", Service.Segmented);
-    ]
+(* One engine spelling across route/batch/serve: [--engine] and the
+   serve protocol's [engine=] both read this table. *)
+let engines =
+  [
+    ("spec", Service.Spec);
+    ("mp", Service.Message_passing);
+    ("segmented", Service.Segmented);
+  ]
+
+let engine_conv = Arg.enum engines
 
 let engine_arg =
   Arg.(
@@ -1146,11 +1154,13 @@ let serve_cmd =
       let* engine =
         match List.assoc_opt "engine" kvs with
         | None -> Ok default_engine
-        | Some "spec" -> Ok Service.Spec
-        | Some "mp" -> Ok Service.Message_passing
-        | Some "segmented" -> Ok Service.Segmented
-        | Some e ->
-            Error (Printf.sprintf "unknown engine %S (spec|mp|segmented)" e)
+        | Some e -> (
+            match List.assoc_opt e engines with
+            | Some engine -> Ok engine
+            | None ->
+                Error
+                  (Printf.sprintf "unknown engine %S (%s)" e
+                     (String.concat "|" (List.map fst engines))))
       in
       let leaves = if leaves = 0 then None else Some leaves in
       Ok (Service.job ~engine ?leaves ?shape ?placement ~id ~algo set)

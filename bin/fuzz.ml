@@ -320,13 +320,7 @@ let check_shapes seed rng =
   let density = 0.05 +. Cst_util.Prng.float rng 0.95 in
   let set = Cst_workloads.Gen_wn.uniform rng ~n ~density in
   let expected = Cst_comm.Comm_set.matching set in
-  let width =
-    Cst_comm.Width.width_on
-      ~parent:(Cst.Topology.parent_table topo)
-      ~first_leaf:(Cst.Topology.first_leaf topo)
-      ~cap:(Cst.Topology.cap_table topo)
-      set
-  in
+  let width = Cst.Compat.width topo set in
   let log = Cst.Exec_log.create () in
   (match Padr.Csa.run ~log topo set with
   | Error e ->

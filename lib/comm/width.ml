@@ -97,47 +97,6 @@ let width ~leaves set =
   Domain.DLS.set last_scratch (Some s);
   !m
 
-(* Generalized congestion over an explicit parent table (any tree whose
-   ids increase parent-to-child and whose leaves are the contiguous tail
-   [first_leaf ..]).  The id-comparison LCA walk of [crossings] carries
-   over verbatim: an ancestor always has a smaller id, so climbing the
-   larger endpoint converges to the LCA. *)
-let crossings_on ~parent ~first_leaf set =
-  let num_nodes = Array.length parent - 1 in
-  let leaves = num_nodes + 1 - first_leaf in
-  if Comm_set.n set > leaves then
-    invalid_arg "Width: set has more PEs than leaves";
-  let up = Array.make (num_nodes + 1) 0 in
-  let down = Array.make (num_nodes + 1) 0 in
-  Array.iter
-    (fun (c : Comm.t) ->
-      let a = ref (first_leaf + c.src) and b = ref (first_leaf + c.dst) in
-      while !a <> !b do
-        if !a > !b then begin
-          up.(!a) <- up.(!a) + 1;
-          a := parent.(!a)
-        end
-        else begin
-          down.(!b) <- down.(!b) + 1;
-          b := parent.(!b)
-        end
-      done)
-    (Comm_set.comms set);
-  { leaves; up; down }
-
-let width_on ~parent ~first_leaf ~cap set =
-  let { up; down; _ } = crossings_on ~parent ~first_leaf set in
-  let m = ref 0 in
-  for v = 2 to Array.length up - 1 do
-    let c = cap.(v) in
-    if c > 0 then begin
-      let wu = (up.(v) + c - 1) / c and wd = (down.(v) + c - 1) / c in
-      if wu > !m then m := wu;
-      if wd > !m then m := wd
-    end
-  done;
-  !m
-
 let width_auto set =
   width ~leaves:(Cst_util.Bits.ceil_pow2 (max 2 (Comm_set.n set))) set
 

@@ -10,7 +10,8 @@
 
     Nodes are heap-indexed: root is 1, node [v] has children [2v] and
     [2v+1], leaf [p] is node [leaves + p].  [leaves] must be a power of
-    two at least [Comm_set.n set]. *)
+    two at least [Comm_set.n set].  Widths on k-ary and
+    capacity-weighted trees are [Cst.Compat.width]'s. *)
 
 type crossings = {
   leaves : int;  (** number of leaf slots (power of two) *)
@@ -29,24 +30,6 @@ val width : leaves:int -> Comm_set.t -> int
 
 val width_auto : Comm_set.t -> int
 (** {!width} with [leaves] = smallest adequate power of two. *)
-
-val crossings_on : parent:int array -> first_leaf:int -> Comm_set.t -> crossings
-(** Per-link congestion on an arbitrary tree given as a parent table:
-    [parent.(v)] is the parent of node [v] (slots 0, 1 unused, ids
-    increase parent-to-child as in BFS numbering) and the leaves are the
-    contiguous tail [first_leaf .. Array.length parent - 1], leaf [p] at
-    [first_leaf + p].  With the binary heap parent table this equals
-    {!crossings}.  The returned [up]/[down] arrays are indexed by node
-    id. *)
-
-val width_on :
-  parent:int array -> first_leaf:int -> cap:int array -> Comm_set.t -> int
-(** Capacity-weighted width: [max] over non-root nodes [v] of
-    [ceil (up v / cap.(v))] and [ceil (down v / cap.(v))], where
-    [cap.(v)] is the capacity of the [v]-to-parent link.  A capacity-[c]
-    link admits [c] simultaneous circuits per round, so a width-[w] set
-    needs [w] rounds (Theorem 5 generalized: the bound divides by the
-    oversubscription ratio).  All-ones [cap] recovers {!width}. *)
 
 val check_against_naive : leaves:int -> Comm_set.t -> bool
 (** Recomputes congestion by interval containment per node (O(M·leaves))

@@ -9,7 +9,7 @@
    leaf-to-leaf path still has a free lane on every directed link.  A
    link of capacity [c] carries [c] simultaneous circuits, so a
    well-nested set of capacity-weighted width [w] (see
-   [Cst_comm.Width.width_on]) completes in [w] rounds on the traces the
+   [Cst.Compat.width]) completes in [w] rounds on the traces the
    bench gates: the bottleneck link admits exactly [c] of its [d]
    crossing circuits per round.
 

@@ -7,7 +7,7 @@
     source order and admits each one whose leaf-to-leaf path has a free
     lane on every directed link (a capacity-[c] link carries [c]
     simultaneous circuits).  On the bench's nested traces a set of
-    capacity-weighted width [w] ({!Cst_comm.Width.width_on}) completes
+    capacity-weighted width [w] ({!Cst.Compat.width}) completes
     in exactly [w] rounds — Theorem 5 divided by the oversubscription
     ratio.
 

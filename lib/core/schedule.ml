@@ -92,18 +92,10 @@ let of_log ?(from = 0) ?upto ?(keep_configs = true) ~set ~topo ~cycles log =
         :: acc)
     |> List.rev |> Array.of_list
   in
-  let width =
-    if Cst.Topology.is_binary topo then Cst_comm.Width.width ~leaves set
-    else
-      Cst_comm.Width.width_on
-        ~parent:(Cst.Topology.parent_table topo)
-        ~first_leaf:(Cst.Topology.first_leaf topo)
-        ~cap:(Cst.Topology.cap_table topo) set
-  in
   {
     leaves;
     set;
-    width;
+    width = Cst.Compat.width topo set;
     rounds;
     power = power_of_meter (Cst.Power_meter.of_log ~from ~upto ~num_nodes log);
     cycles;

@@ -61,7 +61,7 @@ val of_log :
     stands): rounds and deliveries from one
     [Cst.Exec_log.fold_rounds ~snapshots:false] pass, the sparse power
     ledger from {!Cst.Power_meter.of_log} and the width from
-    {!Cst_comm.Width.width}.  Both run on per-domain scratch, so once a
+    {!Cst.Compat.width}.  Both run on per-domain scratch, so once a
     domain has derived a schedule on a binary tree of this size, a small
     job allocates nothing tree-sized.  No configuration is copied:
     [keep_configs] (default true) retains the log range as [source], in

@@ -9,33 +9,6 @@ type report = {
 
 let default_power_bound = 9
 
-(* Capacity-aware compatibility: a round fits iff no directed link
-   carries more circuits than its capacity.  On binary (unit-capacity)
-   topologies this is exactly [Cst.Compat.is_compatible]. *)
-let round_fits topo comms =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun link ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt tbl link) in
-          Hashtbl.replace tbl link (cur + 1))
-        (Cst.Compat.link_footprint topo c))
-    comms;
-  Hashtbl.fold
-    (fun (v, _) n ok -> ok && n <= Cst.Topology.uplink_cap topo v)
-    tbl true
-
-let width_of topo set =
-  if Cst.Topology.is_binary topo then
-    Cst_comm.Width.width ~leaves:(Cst.Topology.leaves topo) set
-  else
-    Cst_comm.Width.width_on
-      ~parent:(Cst.Topology.parent_table topo)
-      ~first_leaf:(Cst.Topology.first_leaf topo)
-      ~cap:(Cst.Topology.cap_table topo)
-      set
-
 let replay_round topo (round : Schedule.round) live =
   let net = Cst.Net.create topo in
   List.iter (fun (node, cfg) -> Cst.Net.reconfigure net ~node cfg) live;
@@ -58,7 +31,7 @@ let schedule ?(power_bound = default_power_bound)
           (fun (s, d) -> Cst_comm.Comm.make ~src:s ~dst:d)
           r.deliveries
       in
-      if not (round_fits topo comms) then
+      if not (Cst.Compat.is_compatible topo comms) then
         problem "round %d is not a compatible set" r.index;
       if List.length r.sources <> List.length r.deliveries then
         problem "round %d: %d sources but %d deliveries" r.index
@@ -90,7 +63,7 @@ let schedule ?(power_bound = default_power_bound)
       problem "the log holds %d rounds but the schedule %d" logged
         (Array.length sched.rounds)
   end;
-  let width = width_of topo set in
+  let width = Cst.Compat.width topo set in
   if check_rounds_optimal && Schedule.num_rounds sched <> width then
     problem "rounds (%d) differ from width (%d)"
       (Schedule.num_rounds sched)

@@ -6,9 +6,10 @@
     {- {e delivery correctness} (Theorem 4): the union of per-round
        deliveries equals the set's source-to-destination matching;}
     {- {e compatibility}: no directed link carries more circuits in one
-       round than its capacity (1 everywhere on the classic binary tree);}
+       round than its capacity (1 everywhere on the classic binary tree;
+       {!Cst.Compat.is_compatible});}
     {- {e round optimality} (Theorem 5): the number of rounds equals the
-       set's capacity-weighted width;}
+       set's capacity-weighted width ({!Cst.Compat.width});}
     {- {e replay}: on a binary topology, re-installing each round's
        configuration snapshot ({!Schedule.fold_configs}, streamed from
        the schedule's log) on a fresh network reproduces that round's

@@ -143,8 +143,8 @@ val mirror_node : t -> int -> int
 
 val parent_table : t -> int array
 (** Fresh array [pt] with [pt.(v) = parent t v] for every non-root node
-    ([pt.(0)], [pt.(1)] are 0).  Plain-array bridge for modules below
-    [cst] in the dependency order (e.g. [Cst_comm.Width]). *)
+    ([pt.(0)], [pt.(1)] are 0), for inner loops that walk the tree many
+    times (the placement optimizer, the capacity engine). *)
 
 val cap_table : t -> int array
 (** Fresh array [ct] with [ct.(v) = uplink_cap t v] for every non-root

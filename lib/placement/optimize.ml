@@ -32,8 +32,8 @@ let tree_of ?shape n_pes =
 let tree_leaves ?shape profile = (tree_of ?shape (Profile.n profile)).leaves
 
 (* Accumulate [sgn * w] along the leaf-to-LCA walk of one pair — the
-   float twin of [Width.crossings_on]: ids increase parent-to-child, so
-   the deeper endpoint is always the larger id. *)
+   float twin of [Cst.Compat.Load.charge]: ids increase parent-to-child,
+   so the deeper endpoint is always the larger id. *)
 let walk_pair tree leaf_of up down sgn p q w =
   let a = ref (tree.first_leaf + leaf_of.(p)) in
   let b = ref (tree.first_leaf + leaf_of.(q)) in
@@ -368,8 +368,4 @@ let width_of_set ?shape mapping set =
       let topo = Cst.Topology.of_shape s in
       if Cst.Topology.leaves topo <> Mapping.n mapping then
         invalid_arg "Optimize.width_of_set: mapping/shape leaf mismatch";
-      W.width_on
-        ~parent:(Cst.Topology.parent_table topo)
-        ~first_leaf:(Cst.Topology.first_leaf topo)
-        ~cap:(Cst.Topology.cap_table topo)
-        mapped
+      Cst.Compat.width topo mapped

@@ -4,7 +4,7 @@
     that minimizes the {e expected width} of the profile: the
     capacity-weighted maximum directed-link congestion when PE [p] is
     embedded at leaf [leaf m p] (the weighted analogue of
-    {!Cst_comm.Width.width_on}, whose integer form it upper-bounds —
+    {!Cst.Compat.width}, whose integer form it upper-bounds —
     the integer width of any set equals the ceiling of its unit-weight
     float width, so a float-width improvement never loses integer
     rounds).  By Theorem 5 rounds equal width, so the saving is both
@@ -46,5 +46,6 @@ val optimize : ?shape:Cst.Shape.t -> ?refine_passes:int -> Profile.t -> Mapping.
     [refine_passes] bounds the global polish loop (default 3). *)
 
 val width_of_set : ?shape:Cst.Shape.t -> Mapping.t -> Cst_comm.Comm_set.t -> int
-(** Integer width ({!Cst_comm.Width.width_on} on the shape's tables,
-    [width_auto] on binary) of a set after applying the mapping. *)
+(** Integer width ({!Cst.Compat.width} on the shape's tree,
+    {!Cst_comm.Width.width} on binary) of a set after applying the
+    mapping. *)

@@ -199,16 +199,21 @@ let dispatch ?cache (job : job) =
           Error (Unsupported { algo = a.name; what = "non-binary topologies" })
         else
         let shape = Cst.Topology.shape topo in
+        (* The one plan key of a whole set or a block: binary plans
+           replay at any compatible placement, so their pin is 0;
+           non-binary plans replay only at the base they were compiled
+           at. *)
+        let plan_key ~engine set : Plan_cache.key =
+          let placed = Cst.Canon.place set in
+          { algo = a.name; engine; shape;
+            base = (if binary then 0 else placed.base);
+            canon = placed.canon }
+        in
         let with_cache ~engine ~producer ~hit ~fresh =
           match cache with
           | None -> fresh ~cache_status:Bypass ~freeze:None
           | Some (pc, worker) -> (
-              let placed = Cst.Canon.place job.set in
-              let key : Plan_cache.key =
-                { algo = a.name; engine; shape;
-                  base = (if binary then 0 else placed.base);
-                  canon = placed.canon }
-              in
+              let key = plan_key ~engine job.set in
               match Plan_cache.find pc ~worker key with
               | Some plan -> hit (Padr.Plan.replay plan topo job.set)
               | None ->
@@ -315,12 +320,7 @@ let dispatch ?cache (job : job) =
                     match cache with
                     | None -> Padr.Par_engine.run_block topo b
                     | Some (pc, worker) -> (
-                        let placed = Cst.Canon.place b.set in
-                        let key : Plan_cache.key =
-                          { algo = a.name; engine = true; shape;
-                            base = (if binary then 0 else placed.base);
-                            canon = placed.canon }
-                        in
+                        let key = plan_key ~engine:true b.set in
                         match Plan_cache.find pc ~worker key with
                         | Some plan ->
                             incr hits;

@@ -15,18 +15,28 @@ type info = {
 
 type pending = { p_job : Service.job; p_subidx : int }
 
-(* The open epoch.  Congestion arrays are node-indexed over the epoch's
-   tree (heap-indexed [2 * e_leaves] words on the classic binary shape,
-   [num_nodes + 1] on a non-binary one), so all members must target the
-   same tree; the merged width is the running maximum of the
-   capacity-ceiled elementwise sums — exactly the width of the union
-   set on that topology. *)
+(* A job's tree: its leaf count and, off binary, its shape.  Binary
+   shapes are indistinguishable from a plain [leaves] override
+   everywhere in the stack, so they take the classic path. *)
+type tree = int * Cst.Shape.t option
+
+let tree_of (job : Service.job) : tree =
+  ( Service.job_leaves job,
+    match job.shape with
+    | Some s when not (Cst.Shape.is_binary s) -> Some s
+    | _ -> None )
+
+let same_tree ((l1, s1) : tree) ((l2, s2) : tree) =
+  l1 = l2 && Option.equal Cst.Shape.equal s1 s2
+
+(* The open epoch.  All members target one tree, and every member that
+   runs at all is charged into [e_load], the stream's load on that tree
+   ([None] for a tree that cannot exist); [e_width] is the load's
+   capacity-ceiled maximum after the last member that fit — exactly the
+   width of the union set on that topology. *)
 type epoch_state = {
-  e_leaves : int;
-  e_shape : Cst.Shape.t option;  (* non-binary topology override *)
-  e_caps : int array option;  (* per-node uplink capacities, same case *)
-  e_up : int array;
-  e_down : int array;
+  e_tree : tree;
+  e_load : Cst.Compat.Load.t option;
   mutable e_width : int;
   mutable e_members : pending list;  (* reversed *)
   mutable e_jobs : int;
@@ -45,6 +55,8 @@ type t = {
   m : Mutex.t;
   done_one : Condition.t;
   mutable epoch : epoch_state option;
+  (* the last tree's load, cleared and reused by each epoch on it *)
+  mutable load : (tree * Cst.Compat.Load.t) option;
   (* job id -> submission indices awaiting completion, FIFO: the pool's
      outcomes carry only the caller-chosen id, which need not be unique *)
   awaiting : (int, int Queue.t) Hashtbl.t;
@@ -89,7 +101,11 @@ let record_completion t (o : Service.outcome) =
       | Ok r ->
           let p : Padr.Schedule.power = r.power in
           t.job_connects <- t.job_connects + p.total_connects;
-          t.job_writes <- t.job_writes + p.total_writes
+          t.job_writes <- t.job_writes + p.total_writes;
+          (match r.detail with
+          | Service.Waves _ when r.waves > t.max_wave_layers ->
+              t.max_wave_layers <- r.waves
+          | _ -> ())
       | Error _ -> ())
   | _ -> () (* outcome for a job this stream never admitted *));
   t.completed <- t.completed + 1;
@@ -118,6 +134,7 @@ let create ?domains ?queue_capacity ?cache ?cache_bytes ?store
       m = Mutex.create ();
       done_one = Condition.create ();
       epoch = None;
+      load = None;
       awaiting = Hashtbl.create 64;
       info = Hashtbl.create 64;
       finished = Hashtbl.create 64;
@@ -142,59 +159,6 @@ let create ?domains ?queue_capacity ?cache ?cache_bytes ?store
 
 (* --- epoch width / structure math ---------------------------------- *)
 
-(* A job's non-binary topology override, normalized: binary shapes are
-   indistinguishable from a plain [leaves] override everywhere in the
-   stack, so they take the classic path. *)
-let nonbinary_shape (job : Service.job) =
-  match job.Service.shape with
-  | Some s when not (Cst.Shape.is_binary s) -> Some s
-  | _ -> None
-
-(* A job participates in the congestion arrays only when it would run at
-   all: a set too large for its tree errors out in the pool, so it
-   contributes no width.  [topo] is the job's non-binary topology when
-   it has one; a binary job's leaf count is checked by the caller. *)
-let crossings_of ?topo job =
-  let set = job.Service.set in
-  match topo with
-  | Some topo ->
-      if Cst_comm.Comm_set.n set <= Cst.Topology.leaves topo then
-        Some
-          (Cst_comm.Width.crossings_on
-             ~parent:(Cst.Topology.parent_table topo)
-             ~first_leaf:(Cst.Topology.first_leaf topo)
-             set)
-      else None
-  | None ->
-      let leaves = Service.job_leaves job in
-      if Cst_comm.Comm_set.n set <= leaves then
-        Some (Cst_comm.Width.crossings ~leaves set)
-      else None
-
-(* Per-link uplink capacity: 1 everywhere on the classic shape; slots
-   holding 0 in a capacity table (the root and the pseudo-nodes) carry
-   no schedulable link and are skipped. *)
-let cap_of (e : epoch_state) v =
-  match e.e_caps with None -> 1 | Some caps -> caps.(v)
-
-let width_if (e : epoch_state) (cr : Cst_comm.Width.crossings option) =
-  match cr with
-  | None -> e.e_width
-  | Some cr ->
-      let m = ref e.e_width in
-      let bump merged v c =
-        if c > 0 then begin
-          let k = cap_of e v in
-          if k > 0 then begin
-            let w = (merged + c + k - 1) / k in
-            if w > !m then m := w
-          end
-        end
-      in
-      Array.iteri (fun v c -> bump e.e_up.(v) v c) cr.up;
-      Array.iteri (fun v c -> bump e.e_down.(v) v c) cr.down;
-      !m
-
 (* Aligned top-level block intervals of a right-oriented well-nested
    set; [None] when the set has no single well-nested plan. *)
 let intervals_of set =
@@ -209,11 +173,6 @@ let intervals_of set =
   else None
 
 let overlaps (b1, a1) (b2, a2) = b1 < b2 + a2 && b2 < b1 + a1
-
-let wave_layers set =
-  let right, left = Cst_comm.Decompose.split set in
-  Cst_comm.Wn_cover.num_layers right
-  + Cst_comm.Wn_cover.num_layers (Cst_comm.Mirror.set left)
 
 (* --- commit --------------------------------------------------------- *)
 
@@ -262,6 +221,44 @@ let evaluate_locked t now =
       | Admission.Commit -> commit_locked t now
       | Admission.Wait -> [])
 
+(* Opens an empty epoch on [tree].  A tree that cannot exist gets no
+   load: nothing is built or sized from its count or its shape, and the
+   pool answers its jobs with the typed error.  Otherwise the stream's
+   load is cleared and reused while the tree repeats, so a topology and
+   tree-sized tables are built only when the tree changes. *)
+let open_epoch t ~now tree valid =
+  let e_load =
+    match (valid, t.load) with
+    | Error _, _ -> None
+    | Ok _, Some (last, load) when same_tree last tree ->
+        Cst.Compat.Load.clear load;
+        Some load
+    | Ok _, _ ->
+        let load =
+          Cst.Compat.Load.create
+            (match tree with
+            | _, Some shape -> Cst.Topology.of_shape shape
+            | leaves, None -> Cst.Topology.create ~leaves)
+        in
+        t.load <- Some (tree, load);
+        Some load
+  in
+  let e =
+    {
+      e_tree = tree;
+      e_load;
+      e_width = 0;
+      e_members = [];
+      e_jobs = 0;
+      e_opened = now;
+      e_sum_arrivals = 0.0;
+      e_intervals = [];
+      e_disjoint = true;
+    }
+  in
+  t.epoch <- Some e;
+  e
+
 (* --- driver interface ----------------------------------------------- *)
 
 (* Admits one job under the stream lock and returns the jobs to
@@ -273,7 +270,7 @@ let admit_locked t (job : Service.job) =
      demand profile, let the ski-rental meter install a better mapping
      only between epochs (every member of an epoch shares one mapping),
      and rewrite the job through the installed mapping before any width
-     math — the congestion arrays, the admission policy and the pool all
+     math — the epoch's load, the admission policy and the pool all
      see the placed set, so outcomes are byte-identical to submitting
      the permuted set directly.  A set over more PEs than the profile
      holds passes through unobserved and unplaced, like a job for
@@ -308,61 +305,48 @@ let admit_locked t (job : Service.job) =
           else job
         end
   in
-  let leaves = Service.job_leaves job in
-  (* A job for a tree that cannot exist still takes its place in the
-     epoch order; the pool answers it with the typed error, and nothing
-     here is built or sized from its count or its shape. *)
-  let valid = Result.is_ok (Service.check_leaves job) in
-  let shape = nonbinary_shape job in
-  let topo_nb =
-    if valid then Option.map Cst.Topology.of_shape shape else None
-  in
-  let cr = if valid then crossings_of ?topo:topo_nb job else None in
+  let tree = tree_of job in
   let to_dispatch = ref [] in
   let commit () = to_dispatch := commit_locked t now :: !to_dispatch in
-  (* Epoch boundaries the structure forces, before the policy speaks:
-     a different tree size or topology shape cannot share congestion
-     arrays, and a width-capped policy flushes rather than let the
-     merge exceed the cap. *)
+  (* A different tree size or topology shape cannot share the epoch's
+     load: the structure forces an epoch boundary before the policy
+     speaks. *)
   (match t.epoch with
-  | Some e
-    when e.e_leaves <> leaves
-         || not (Option.equal Cst.Shape.equal e.e_shape shape) ->
-      commit ()
+  | Some e when not (same_tree e.e_tree tree) -> commit ()
   | _ -> ());
-  (match (t.policy, t.epoch) with
-  | Admission.Delta_threshold { max_width = Some w; _ }, Some e
-    when e.e_jobs > 0 && width_if e cr > w ->
-      commit ()
-  | _ -> ());
-  let e =
+  let epoch () =
     match t.epoch with
     | Some e -> e
-    | None ->
-        let nodes =
-          match (valid, shape) with
-          | false, _ -> 0
-          | true, Some s -> Cst.Shape.num_nodes s + 1
-          | true, None -> 2 * leaves
+    | None -> open_epoch t ~now tree (Service.check_leaves job)
+  in
+  let e = epoch () in
+  (* A job participates in the width only when it would run at all: a
+     set too large for its tree errors out in the pool.  A width-capped
+     policy flushes rather than let the merge exceed the cap: the epoch
+     commits at its width before this job, which then opens the next
+     epoch on the same, cleared load. *)
+  let e =
+    match e.e_load with
+    | Some load when Cst_comm.Comm_set.n job.set <= fst tree ->
+        Cst.Compat.Load.charge load job.set;
+        let over_cap =
+          match t.policy with
+          | Admission.Delta_threshold { max_width = Some w; _ } ->
+              e.e_jobs > 0 && Cst.Compat.Load.width load > w
+          | _ -> false
         in
         let e =
-          {
-            e_leaves = leaves;
-            e_shape = shape;
-            e_caps = Option.map Cst.Topology.cap_table topo_nb;
-            e_up = Array.make nodes 0;
-            e_down = Array.make nodes 0;
-            e_width = 0;
-            e_members = [];
-            e_jobs = 0;
-            e_opened = now;
-            e_sum_arrivals = 0.0;
-            e_intervals = [];
-            e_disjoint = true;
-          }
+          if over_cap then begin
+            commit ();
+            let fresh = epoch () in
+            Cst.Compat.Load.charge load job.set;
+            fresh
+          end
+          else e
         in
-        t.epoch <- Some e;
+        e.e_width <- Cst.Compat.Load.width load;
         e
+    | _ -> e
   in
   let subidx = t.submitted in
   t.submitted <- subidx + 1;
@@ -380,24 +364,6 @@ let admit_locked t (job : Service.job) =
   e.e_members <- { p_job = job; p_subidx = subidx } :: e.e_members;
   e.e_jobs <- e.e_jobs + 1;
   e.e_sum_arrivals <- e.e_sum_arrivals +. now;
-  (match cr with
-  | Some cr ->
-      Array.iteri (fun v c -> e.e_up.(v) <- e.e_up.(v) + c) cr.up;
-      Array.iteri (fun v c -> e.e_down.(v) <- e.e_down.(v) + c) cr.down;
-      let m = ref e.e_width in
-      let bump v total =
-        if total > 0 then begin
-          let k = cap_of e v in
-          if k > 0 then begin
-            let w = (total + k - 1) / k in
-            if w > !m then m := w
-          end
-        end
-      in
-      Array.iteri bump e.e_up;
-      Array.iteri bump e.e_down;
-      e.e_width <- !m
-  | None -> ());
   (match intervals_of job.set with
   | Some ivs ->
       if List.exists (fun i -> List.exists (overlaps i) e.e_intervals) ivs
@@ -405,9 +371,7 @@ let admit_locked t (job : Service.job) =
       else e.e_intervals <- ivs @ e.e_intervals
   | None ->
       e.e_disjoint <- false;
-      t.crossing_jobs <- t.crossing_jobs + 1;
-      let layers = wave_layers job.set in
-      if layers > t.max_wave_layers then t.max_wave_layers <- layers);
+      t.crossing_jobs <- t.crossing_jobs + 1);
   to_dispatch := evaluate_locked t now :: !to_dispatch;
   List.concat (List.rev !to_dispatch)
 

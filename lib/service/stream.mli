@@ -12,19 +12,22 @@
 
     While the epoch is open the scheduler maintains the merged
     link-congestion width of its members incrementally: each admitted
-    set's per-link crossing counts ({!Cst_comm.Width.crossings}) are
-    added into the epoch's congestion arrays, so the merged width (the
-    array maximum — exactly the width of the union set) is available in
-    O(1) to the policy's [max_width] cap.  Theorem 5 (rounds = width)
-    turns that cap into a bound on the epoch's service time.  Top-level
-    block intervals ({!Cst_comm.Decompose.blocks}) of well-nested
-    members are tracked too: an epoch whose members occupy pairwise
-    disjoint aligned intervals coalesces for free — merged width = max,
-    not sum ([disjoint_epochs] in {!stats}).  Members that are not
-    well-nested are admitted as well (the pool wave-covers them); their
-    {!Cst_comm.Wn_cover} layer count is recorded ([max_wave_layers]).
-    Jobs for a different tree size than the open epoch force a commit
-    first — congestion arrays of different topologies do not align.
+    set is charged into the epoch's {!Cst.Compat.Load} on the epoch's
+    tree, whose running capacity-ceiled maximum — exactly the width of
+    the union set — reads in O(1) for the policy's [max_width] cap.
+    Admission costs O(comms × levels) per job: the load is cleared and
+    reused while consecutive epochs share a tree, so a topology and
+    its tree-sized tables are built only when the tree changes.
+    Theorem 5 (rounds = width) turns the cap into a bound on the
+    epoch's service time.  Top-level block intervals
+    ({!Cst_comm.Decompose.blocks}) of well-nested members are tracked
+    too: an epoch whose members occupy pairwise disjoint aligned
+    intervals coalesces for free — merged width = max, not sum
+    ([disjoint_epochs] in {!stats}).  Members that are not well-nested
+    are admitted as well and counted ([crossing_jobs]); the pool
+    wave-covers them.  Jobs for a different tree than the open epoch
+    force a commit first — loads on different topologies do not
+    align.
 
     {2 Power model}
 
@@ -85,7 +88,7 @@ val create :
 
 val submit : t -> Service.job -> unit
 (** Stamps the job's arrival, admits it into the open epoch (committing
-    the previous epoch first when the tree size differs or the policy's
+    the previous epoch first when the tree differs or the policy's
     width cap would be exceeded) and re-evaluates the policy.  Blocks
     only while a commit is flushing into a full pool queue.  Raises
     [Invalid_argument] after {!shutdown}; no exception leaves the
@@ -131,7 +134,8 @@ type stats = {
   crossing_jobs : int;  (** members admitted without a single well-nested
                             plan (wave-covered by the pool) *)
   max_wave_layers : int;
-      (** largest {!Cst_comm.Wn_cover} layer count among those *)
+      (** most waves the pool ran for one completed job: the largest
+          [waves] among outcomes whose detail is a wave cover *)
   recon_delta : float;
   recon_power : float;  (** [recon_delta *. float epochs] *)
   job_connects : int;  (** Σ over completed jobs (successful outcomes) *)

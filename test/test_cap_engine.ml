@@ -9,13 +9,6 @@ open Helpers
 let fat level_sizes capacities =
   Result.get_ok (Cst.Shape.fat_tree ~level_sizes ~capacities)
 
-let width_on topo set =
-  Cst_comm.Width.width_on
-    ~parent:(Cst.Topology.parent_table topo)
-    ~first_leaf:(Cst.Topology.first_leaf topo)
-    ~cap:(Cst.Topology.cap_table topo)
-    set
-
 let onion = Cst_workloads.Gen_wn.onion
 
 let capacity_cases =
@@ -32,7 +25,7 @@ let capacity_cases =
             let sched, _ = Padr.Cap_engine.run_exn topo set in
             check_int
               (Printf.sprintf "width at cap %d" c)
-              expect (width_on topo set);
+              expect (Cst.Compat.width topo set);
             check_int
               (Printf.sprintf "rounds at cap %d" c)
               expect

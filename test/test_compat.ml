@@ -77,6 +77,38 @@ let prop_footprint_alternation =
         (Cst_comm.Comm_set.comms s)
       || Cst_comm.Comm_set.size s = 0)
 
+(* The oracle for widths on every shape: a random set (well-nested, or
+   arbitrary pairs in both orientations) on a random binary, k-ary or
+   fat tree.  [width] agrees with the brute-force footprint recount, and
+   so does a load that is charged, cleared and charged again. *)
+let prop_width_matches_recount =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"width = footprint recount on every shape"
+       QCheck.(pair Test_shape.arbitrary_shape (int_bound 1_000_000))
+       (fun (shape, seed) ->
+         let rng = Cst_util.Prng.create seed in
+         let topo = Cst.Topology.of_shape shape in
+         let n = Cst.Shape.leaves shape in
+         let random_set () =
+           if Cst_util.Prng.int rng 2 = 0 then
+             Cst_workloads.Gen_wn.uniform rng ~n
+               ~density:(Cst_util.Prng.float rng 1.0)
+           else
+             Cst_workloads.Gen_arbitrary.random_pairs rng ~n
+               ~pairs:(1 + Cst_util.Prng.int rng (n / 2))
+         in
+         let a = random_set () and b = random_set () in
+         let load = Cst.Compat.Load.create topo in
+         Cst.Compat.Load.charge load a;
+         Cst.Compat.Load.charge load b;
+         let merged = Cst.Compat.Load.width load in
+         Cst.Compat.Load.clear load;
+         Cst.Compat.Load.charge load b;
+         Cst.Compat.width topo a = recount_width topo [ a ]
+         && merged = recount_width topo [ a; b ]
+         && Cst.Compat.Load.width load = recount_width topo [ b ]))
+
 let suite =
   [
     case "footprint of a long path" test_footprint;
@@ -90,4 +122,5 @@ let suite =
     case "max congestion" test_max_congestion;
     prop_congestion_matches_width;
     prop_footprint_alternation;
+    prop_width_matches_recount;
   ]
