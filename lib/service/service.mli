@@ -133,8 +133,8 @@ val check_leaves : job -> (int, error) result
 (** [Ok (job_leaves job)] when a tree of that size exists — for a
     [shape] job, when it has at most {!max_leaves} leaves — else
     [Error (Bad_leaves _)].  {!run_job} rejects such a job before
-    building any topology; {!Stream} builds a shape's topology and
-    sizes its congestion arrays only from a checked count. *)
+    building any topology; {!Stream} builds a tree's topology and
+    link load only from a checked count. *)
 
 val error_of_csa : Padr.error -> error
 (** Embeds the scheduler's error type ({!Padr.Csa.error}). *)
