@@ -37,22 +37,25 @@ let load_with of_string path =
 let load_set = load_with Cst_comm.Comm_set.of_string
 let load_mapping = load_with Cst_placement.Mapping.of_string
 
-(* Generators build the whole O(n) set, so [n] is bounded by the
-   largest tree a job may run on before any of it is built. *)
+(* Generators build the whole O(n) set, so [n] is checked against the
+   trees a job may run on before any of it is built; a generator that
+   still rejects its arguments reports why instead of raising. *)
+let generate ~what ~n make =
+  let reject why = Error (Printf.sprintf "%s rejects n=%d: %s" what n why) in
+  if n < 2 then reject "trees have at least 2 leaves"
+  else if n > Service.max_leaves then
+    reject (Printf.sprintf "trees have at most %d leaves" Service.max_leaves)
+  else try Ok (make ()) with Invalid_argument m -> reject m
+
 let gen_set ~workload ~n ~seed =
   match Cst_workloads.Suite.find workload with
   | None ->
       Error
         (Printf.sprintf "unknown workload %S (known: %s)" workload
            (String.concat ", " Cst_workloads.Suite.names))
-  | Some _ when n > Service.max_leaves ->
-      Error
-        (Printf.sprintf "workload %s rejects n=%d: trees have at most %d leaves"
-           workload n Service.max_leaves)
-  | Some g -> (
-      try Ok (g.make (Cst_util.Prng.create seed) ~n)
-      with Invalid_argument m ->
-        Error (Printf.sprintf "workload %s rejects n=%d: %s" workload n m))
+  | Some g ->
+      generate ~what:("workload " ^ workload) ~n (fun () ->
+          g.make (Cst_util.Prng.create seed) ~n)
 
 let obtain_set file workload n seed =
   match (file, workload) with
@@ -333,11 +336,14 @@ let batch_cmd =
            mixed-orientation) set, so the batch exercises the service's
            capability dispatch, not just the well-nested fast path. *)
         if i mod 4 = 3 then
-          Cst_workloads.Gen_arbitrary.random_pairs rng ~n ~pairs:(max 1 (n / 8))
+          generate ~what:"arbitrary pairs" ~n (fun () ->
+              Cst_workloads.Gen_arbitrary.random_pairs rng ~n
+                ~pairs:(max 1 (n / 8)))
         else
           let g = List.nth gens (i mod List.length gens) in
-          g.make rng ~n
+          generate ~what:("workload " ^ g.name) ~n (fun () -> g.make rng ~n)
       in
+      let set = match set with Ok s -> s | Error e -> exit_err e in
       let engine =
         (* --engine routes every engine-capable job through the chosen
            path; algorithms without an engine keep the spec scheduler
@@ -501,7 +507,12 @@ let sweep_cmd =
       List.map
         (fun w ->
           let rng = Cst_util.Prng.create (seed + w) in
-          (w, Cst_workloads.Gen_wn.with_width rng ~n ~width:w))
+          match
+            generate ~what:(Printf.sprintf "sweep at width %d" w) ~n (fun () ->
+                Cst_workloads.Gen_wn.with_width rng ~n ~width:w)
+          with
+          | Ok set -> (w, set)
+          | Error e -> exit_err e)
         widths
     in
     let jobs =

@@ -1,7 +1,8 @@
 (** Capacity-aware scheduler for generalized topologies.
 
     The CSA's 3-sided switch protocol ({!Phase1}/{!Round}/[Cst.Net]) is
-    intrinsically binary; on k-ary and capacity-weighted fat-tree shapes
+    intrinsically binary ({!Phase1.run} rejects any other shape); on
+    k-ary and capacity-weighted fat-tree shapes
     scheduling is done by this explicit greedy circuit allocator
     instead: every round it scans the undelivered communications in
     source order and admits each one whose leaf-to-leaf path has a free
@@ -26,6 +27,15 @@ type stats = {
   max_message_words : int;
   state_words_per_switch : int;
 }
+
+val stats_for : Cst.Topology.t -> rounds:int -> stats
+(** The modeled hardware's charges for a [rounds]-round run on [topo],
+    in closed form: {!Cst.Topology.engine_cost}'s cycles and messages,
+    five words of switch state, and two-word messages — four-word ones
+    on the binary shape once a round runs ({!Downmsg.words}).  The one
+    source of the record for this engine and {!Par_engine.merge_blocks};
+    {!Engine} counts its own charges, which its tests check against
+    {!Cst.Topology.engine_cost}. *)
 
 val run :
   ?log:Cst.Exec_log.t ->

@@ -19,12 +19,9 @@ let run ?(eager_clear = false) ?net ?log topo set =
     | Error e -> Error e
   end
   else
-  let leaves = Cst.Topology.leaves topo in
-  if Cst_comm.Comm_set.n set > leaves then
-    Error (Too_large { n = Cst_comm.Comm_set.n set; leaves })
-  else
-    match Cst_comm.Well_nested.check set with
-    | Error v -> Error (Not_well_nested v)
+    let leaves = Cst.Topology.leaves topo in
+    match Sched_error.check topo set with
+    | Error e -> Error e
     | Ok () ->
         let phase1 = Phase1.run topo set in
         let net =

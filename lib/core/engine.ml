@@ -27,23 +27,22 @@ module Ibuf = struct
   let to_list b = List.init b.len (fun i -> b.a.(i))
 end
 
-(* Engine workspace.  All node-indexed arrays are sized exactly
-   ([num_nodes] or [leaves - 1] slots, indexed [node - 1]) and cleared
-   through dirty lists, never by whole-array fills.  Each domain keeps
-   the last one it used and reuses it while the leaf count matches:
-   Phase 1 overwrites every [up_*], [states] and [pending] slot, and
-   each round starts by resetting the [wants] its predecessor dirtied —
-   the first round those of the previous run, however it ended.  Only a
-   run that returns puts its workspace back. *)
+(* Engine workspace.  The switch-indexed arrays have [leaves] slots,
+   indexed by node id like [Phase1]'s registers (slot 0 unused), and the
+   [wants] are cleared through a dirty list, never by whole-array fills.
+   Each domain keeps the last one it used and reuses it while the leaf
+   count matches: [Phase1.fill] overwrites every switch's registers,
+   the [pending] counters are rebuilt from them, and each round starts
+   by resetting the [wants] its predecessor dirtied — the first round
+   those of the previous run, however it ended.  Only a run that
+   returns puts its workspace back. *)
 type workspace = {
-  up_s : int array;  (* Phase-1 mailboxes, (s, d) split into two *)
-  up_d : int array;  (* unboxed int arrays; length num_nodes. *)
-  states : Csa_state.t array;  (* switch registers; length leaves - 1 *)
+  states : Csa_state.t array;  (* switch registers *)
   pending : int array;
-      (* pending.(v-1) = unscheduled matches left in v's subtree; the
+      (* pending.(v) = unscheduled matches left in v's subtree; the
          frontier prunes any child subtree with no message and no pending
          match, which bounds a round at O(active paths * depth). *)
-  wants : Cst.Switch_config.t array;  (* length leaves - 1 *)
+  wants : Cst.Switch_config.t array;
   dirty : Ibuf.t;  (* switches whose want was set this round *)
   stack_node : int array;  (* DFS frontier stack; length levels + 2 *)
   stack_msg : Downmsg.t array;
@@ -53,14 +52,11 @@ type workspace = {
 
 let make_workspace topo =
   let leaves = Cst.Topology.leaves topo in
-  let num = (2 * leaves) - 1 in
   let cap = Cst.Topology.levels topo + 2 in
   {
-    up_s = Array.make num 0;
-    up_d = Array.make num 0;
-    states = Array.init (leaves - 1) (fun _ -> Csa_state.zero ());
-    pending = Array.make (leaves - 1) 0;
-    wants = Array.make (leaves - 1) Cst.Switch_config.empty;
+    states = Array.init leaves (fun _ -> Csa_state.zero ());
+    pending = Array.make leaves 0;
+    wants = Array.make leaves Cst.Switch_config.empty;
     dirty = Ibuf.create 64;
     stack_node = Array.make cap 0;
     stack_msg = Array.make cap Downmsg.null;
@@ -77,7 +73,7 @@ let last_workspace : workspace option Domain.DLS.key =
 let with_workspace topo f =
   let ws =
     match Domain.DLS.get last_workspace with
-    | Some ws when Array.length ws.pending = Cst.Topology.leaves topo - 1 ->
+    | Some ws when Array.length ws.pending = Cst.Topology.leaves topo ->
         Domain.DLS.set last_workspace None;
         ws
     | _ -> make_workspace topo
@@ -89,192 +85,146 @@ let with_workspace topo f =
 (* A child is worth visiting when it receives a request or still owns
    an unscheduled match. *)
 let[@inline] live ws ~leaves child (m : Downmsg.t) =
-  m.sreq <> None || m.dreq <> None
-  || (child < leaves && ws.pending.(child - 1) > 0)
+  m.sreq <> None || m.dreq <> None || (child < leaves && ws.pending.(child) > 0)
 
 (* The engine executes the paper's message-passing algorithm but only
-   ever visits nodes that can act: Phase 1 walks the precomputed level
-   buckets (every node speaks exactly once), and each Phase-2 down sweep
-   follows an explicit frontier of nodes that hold a message or still
-   contain unscheduled matches.  Quiescent switches neither execute
-   [Round.configure] (their decision is provably the null decision) nor
-   get reconfigured.  Cycle and control-message counts are accounted in
-   closed form for the skipped switches — the simulated hardware still
-   clocks every level and still exchanges the null messages; the
-   simulator just does not spend wall-clock on them. *)
+   ever visits nodes that can act: Phase 1 is [Phase1.fill] (every
+   switch combines its children's words once), and each Phase-2 down
+   sweep follows an explicit frontier of nodes that hold a message or
+   still contain unscheduled matches.  Quiescent switches neither
+   execute [Round.configure] (their decision is provably the null
+   decision) nor get reconfigured.  Cycles and control messages are
+   charged in closed form — the simulated hardware still clocks every
+   level and still exchanges the null messages; the simulator just does
+   not spend wall-clock on them. *)
 let simulate ?log topo set =
   assert (Cst.Topology.is_binary topo);
-  let leaves = Cst.Topology.leaves topo in
-  if Cst_comm.Comm_set.n set > leaves then
-    Error (Csa.Too_large { n = Cst_comm.Comm_set.n set; leaves })
-  else
-    match Cst_comm.Well_nested.check set with
-    | Error v -> Error (Csa.Not_well_nested v)
-    | Ok () ->
-        with_workspace topo @@ fun ws ->
-        let levels = Cst.Topology.levels topo in
-        let net = Cst.Net.create ?log topo in
-        let log = Cst.Net.log net in
-        let from = Cst.Exec_log.length log in
-        let cycles = ref 0 and messages = ref 0 in
-        let max_words = ref 0 in
-        let send words =
-          incr messages;
-          max_words := max !max_words words
+  match Sched_error.check topo set with
+  | Error e -> Error e
+  | Ok () ->
+      with_workspace topo @@ fun ws ->
+      let leaves = Cst.Topology.leaves topo in
+      let levels = Cst.Topology.levels topo in
+      let net = Cst.Net.create ?log topo in
+      let log = Cst.Net.log net in
+      let from = Cst.Exec_log.length log in
+      (* Phase 1: one cycle for the leaves' reports, then one per level;
+         every node but the root sends its parent one two-word message. *)
+      Phase1.fill topo set ws.states;
+      Cst.Exec_log.phase_done log ~levels;
+      let cycles = ref (levels + 1) in
+      let messages = ref (2 * (leaves - 1)) in
+      let max_words = ref Phase1.up_words_per_message in
+
+      (* Subtree pending-match counters drive the frontier pruning. *)
+      for v = leaves - 1 downto 1 do
+        let below =
+          if 2 * v < leaves then ws.pending.(2 * v) + ws.pending.((2 * v) + 1)
+          else 0
         in
+        ws.pending.(v) <- ws.states.(v).m + below
+      done;
 
-        (* Phase 1: leaves post (s, d) pairs, then one level per cycle,
-           walking the level buckets — O(n) total instead of a full-tree
-           scan per level. *)
-        let roles = Cst_comm.Comm_set.roles set in
-        for pe = 0 to leaves - 1 do
-          let node = leaves + pe in
-          let s, d =
-            if pe < Array.length roles then
-              match roles.(pe) with
-              | Cst_comm.Comm_set.Source _ -> (1, 0)
-              | Cst_comm.Comm_set.Dest _ -> (0, 1)
-              | Cst_comm.Comm_set.Idle -> (0, 0)
-            else (0, 0)
-          in
-          ws.up_s.(node - 1) <- s;
-          ws.up_d.(node - 1) <- d;
-          send Phase1.up_words_per_message
-        done;
-        incr cycles;
-        for lvl = 1 to levels do
-          let bucket = Cst.Topology.nodes_at_level topo lvl in
-          Array.iter
-            (fun node ->
-              let y = Cst.Topology.left_u node
-              and z = Cst.Topology.right_u node in
-              let s_l = ws.up_s.(y - 1) and d_l = ws.up_d.(y - 1) in
-              let s_r = ws.up_s.(z - 1) and d_r = ws.up_d.(z - 1) in
-              let m = min s_l d_r in
-              let st = ws.states.(node - 1) in
-              st.m <- m;
-              st.sl <- s_l - m;
-              st.dl <- d_l;
-              st.sr <- s_r;
-              st.dr <- d_r - m;
-              if node <> Cst.Topology.root then begin
-                ws.up_s.(node - 1) <- s_l - m + s_r;
-                ws.up_d.(node - 1) <- d_l + (d_r - m);
-                send Phase1.up_words_per_message
-              end)
-            bucket;
-          incr cycles
-        done;
-        Cst.Exec_log.phase_done log ~levels;
-
-        (* Subtree pending-match counters drive the frontier pruning. *)
-        for v = leaves - 1 downto 1 do
-          let below =
-            if 2 * v < leaves then ws.pending.(2 * v - 1) + ws.pending.(2 * v)
-            else 0
-          in
-          ws.pending.(v - 1) <- ws.states.(v - 1).m + below
-        done;
-
-        let remaining = ref ws.pending.(Cst.Topology.root - 1) in
-        let index = ref 0 in
-        (* Per round, the modeled hardware exchanges one down message per
-           tree link (2*(leaves-1) messages of [Downmsg.words] words) and
-           clocks levels+1 sweep cycles plus one data cycle, whether or not
-           a switch has anything to do; charged in closed form. *)
-        let round_messages = 2 * (leaves - 1) in
-        let round_message_words = Downmsg.words Downmsg.null in
-        try
-          while !remaining > 0 do
-            incr index;
-            Cst.Exec_log.round_begin log ~index:!index;
-            for i = 0 to ws.dirty.len - 1 do
-              ws.wants.(Ibuf.get ws.dirty i - 1) <- Cst.Switch_config.empty
-            done;
-            Ibuf.clear ws.dirty;
-            Ibuf.clear ws.srcs;
-            Ibuf.clear ws.dsts;
-            let matched = ref 0 in
-            (* Down sweep over the active frontier only.  Pushing the right
-               child first makes the explicit stack visit leaves in
-               increasing PE order, like the spec's recursive sweep. *)
-            let sp = ref 0 in
-            let push node msg =
-              ws.stack_node.(!sp) <- node;
-              ws.stack_msg.(!sp) <- msg;
-              incr sp
-            in
-            push Cst.Topology.root Downmsg.null;
-            while !sp > 0 do
-              decr sp;
-              let node = ws.stack_node.(!sp) in
-              let msg = ws.stack_msg.(!sp) in
-              if node >= leaves then begin
-                let pe = node - leaves in
-                (match msg.Downmsg.sreq with
-                | Some 0 -> Ibuf.push ws.srcs pe
-                | None -> ()
-                | Some _ -> assert false);
-                match msg.Downmsg.dreq with
-                | Some 0 -> Ibuf.push ws.dsts pe
-                | None -> ()
-                | Some _ -> assert false
-              end
-              else begin
-                let d = Round.configure ws.states.(node - 1) msg in
-                if not (Cst.Switch_config.is_empty d.config) then begin
-                  ws.wants.(node - 1) <- d.config;
-                  Ibuf.push ws.dirty node
-                end;
-                if d.scheduled_matched then begin
-                  incr matched;
-                  let v = ref node in
-                  while !v >= 1 do
-                    ws.pending.(!v - 1) <- ws.pending.(!v - 1) - 1;
-                    v := !v lsr 1
-                  done
-                end;
-                let l = Cst.Topology.left_u node
-                and r = Cst.Topology.right_u node in
-                if live ws ~leaves r d.to_right then push r d.to_right;
-                if live ws ~leaves l d.to_left then push l d.to_left
-              end
-            done;
-            if !matched = 0 then
-              raise (Csa.Stall { round = !index; remaining = !remaining });
-            messages := !messages + round_messages;
-            max_words := max !max_words round_message_words;
-            cycles := !cycles + levels + 1;
-            (* Only switches whose want changed are reconfigured; for every
-               other switch [reconfigure_lazy] with an empty want is a
-               provable no-op (lazy merge keeps the old configuration and
-               charges nothing). *)
-            for i = 0 to ws.dirty.len - 1 do
-              let node = Ibuf.get ws.dirty i in
-              Cst.Net.reconfigure_lazy net ~node ~want:ws.wants.(node - 1)
-            done;
-            let sources = Ibuf.to_list ws.srcs in
-            List.iter (fun pe -> Cst.Net.pe_write net ~pe pe) sources;
-            let deliveries = Cst.Data_plane.transfer net ~sources in
-            List.iter
-              (fun (src, dst) -> Cst.Exec_log.deliver log ~src ~dst)
-              deliveries;
-            incr cycles;
-            (* the data transfer cycle *)
-            remaining := !remaining - !matched
+      let remaining = ref ws.pending.(Cst.Topology.root) in
+      let index = ref 0 in
+      (* Per round, the modeled hardware exchanges one down message per
+         tree link (2*(leaves-1) messages of [Downmsg.words] words) and
+         clocks levels+1 sweep cycles plus one data cycle, whether or not
+         a switch has anything to do; charged in closed form. *)
+      let round_messages = 2 * (leaves - 1) in
+      let round_message_words = Downmsg.words Downmsg.null in
+      try
+        while !remaining > 0 do
+          incr index;
+          Cst.Exec_log.round_begin log ~index:!index;
+          for i = 0 to ws.dirty.len - 1 do
+            ws.wants.(Ibuf.get ws.dirty i) <- Cst.Switch_config.empty
           done;
-          Cst.Exec_log.run_end log ~rounds:!index;
-          Ok
-            ( log,
-              from,
-              {
-                cycles = !cycles;
-                control_messages = !messages;
-                max_message_words = !max_words;
-                state_words_per_switch = Csa_state.words ws.states.(0);
-              } )
-        with Csa.Stall { round; remaining } ->
-          Error (Csa.Stalled { round; remaining })
+          Ibuf.clear ws.dirty;
+          Ibuf.clear ws.srcs;
+          Ibuf.clear ws.dsts;
+          let matched = ref 0 in
+          (* Down sweep over the active frontier only.  Pushing the right
+             child first makes the explicit stack visit leaves in
+             increasing PE order, like the spec's recursive sweep. *)
+          let sp = ref 0 in
+          let push node msg =
+            ws.stack_node.(!sp) <- node;
+            ws.stack_msg.(!sp) <- msg;
+            incr sp
+          in
+          push Cst.Topology.root Downmsg.null;
+          while !sp > 0 do
+            decr sp;
+            let node = ws.stack_node.(!sp) in
+            let msg = ws.stack_msg.(!sp) in
+            if node >= leaves then begin
+              let pe = node - leaves in
+              (match msg.Downmsg.sreq with
+              | Some 0 -> Ibuf.push ws.srcs pe
+              | None -> ()
+              | Some _ -> assert false);
+              match msg.Downmsg.dreq with
+              | Some 0 -> Ibuf.push ws.dsts pe
+              | None -> ()
+              | Some _ -> assert false
+            end
+            else begin
+              let d = Round.configure ws.states.(node) msg in
+              if not (Cst.Switch_config.is_empty d.config) then begin
+                ws.wants.(node) <- d.config;
+                Ibuf.push ws.dirty node
+              end;
+              if d.scheduled_matched then begin
+                incr matched;
+                let v = ref node in
+                while !v >= 1 do
+                  ws.pending.(!v) <- ws.pending.(!v) - 1;
+                  v := !v lsr 1
+                done
+              end;
+              let l = Cst.Topology.left_u node
+              and r = Cst.Topology.right_u node in
+              if live ws ~leaves r d.to_right then push r d.to_right;
+              if live ws ~leaves l d.to_left then push l d.to_left
+            end
+          done;
+          if !matched = 0 then
+            raise (Csa.Stall { round = !index; remaining = !remaining });
+          messages := !messages + round_messages;
+          max_words := max !max_words round_message_words;
+          cycles := !cycles + levels + 1;
+          (* Only switches whose want changed are reconfigured; for every
+             other switch [reconfigure_lazy] with an empty want is a
+             provable no-op (lazy merge keeps the old configuration and
+             charges nothing). *)
+          for i = 0 to ws.dirty.len - 1 do
+            let node = Ibuf.get ws.dirty i in
+            Cst.Net.reconfigure_lazy net ~node ~want:ws.wants.(node)
+          done;
+          let sources = Ibuf.to_list ws.srcs in
+          List.iter (fun pe -> Cst.Net.pe_write net ~pe pe) sources;
+          let deliveries = Cst.Data_plane.transfer net ~sources in
+          List.iter
+            (fun (src, dst) -> Cst.Exec_log.deliver log ~src ~dst)
+            deliveries;
+          incr cycles;
+          (* the data transfer cycle *)
+          remaining := !remaining - !matched
+        done;
+        Cst.Exec_log.run_end log ~rounds:!index;
+        Ok
+          ( log,
+            from,
+            {
+              cycles = !cycles;
+              control_messages = !messages;
+              max_message_words = !max_words;
+              state_words_per_switch =
+                Csa_state.words ws.states.(Cst.Topology.root);
+            } )
+      with Csa.Stall { round; remaining } ->
+        Error (Csa.Stalled { round; remaining })
 
 let run ?log topo set =
   if not (Cst.Topology.is_binary topo) then Cap_engine.run ?log topo set

@@ -8,12 +8,14 @@
     engine therefore demonstrates the locality claim and measures the
     quantities of Theorem 5: cycles, message count and message size.
 
-    {!run} is a sparse-frontier engine: Phase 1 walks precomputed level
-    buckets and each Phase-2 down sweep follows an explicit frontier of
-    nodes that hold a message or still own an unscheduled match, so a
-    round costs O(active paths * depth) of simulator time instead of
-    O(n log n).  The switches it skips would only exchange null messages;
-    their cycles and messages are charged in closed form.
+    {!run} is a sparse-frontier engine: Phase 1 is {!Phase1.fill}, the
+    spec's own pass, writing into the domain's reused register array,
+    and each Phase-2 down sweep follows an explicit frontier of nodes
+    that hold a message or still own an unscheduled match, so a round
+    costs O(active paths * depth) of simulator time instead of
+    O(n log n).  The engine charges Phase 1 ([levels + 1] cycles,
+    [2 * (leaves - 1)] two-word messages) and each round in closed form,
+    skipped switches' null messages included.
 
     Tests (test/test_engine_equiv.ml) assert that the engine's schedule
     is identical, round for round, to {!Csa.run}'s — sources, dests,

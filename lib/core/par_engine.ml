@@ -13,17 +13,13 @@ let span_ladder topo =
       leaves / Cst.Shape.size_at shape ~depth:(levels - i))
 
 let decompose topo set =
-  let leaves = Cst.Topology.leaves topo in
-  if Cst_comm.Comm_set.n set > leaves then
-    Error (Csa.Too_large { n = Cst_comm.Comm_set.n set; leaves })
-  else
-    match Cst_comm.Well_nested.check set with
-    | Error v -> Error (Csa.Not_well_nested v)
-    | Ok () ->
-        let spans =
-          if Cst.Topology.is_binary topo then None else Some (span_ladder topo)
-        in
-        Ok (Cst_comm.Decompose.blocks ~check:false ?spans set)
+  match Sched_error.check topo set with
+  | Error e -> Error e
+  | Ok () ->
+      let spans =
+        if Cst.Topology.is_binary topo then None else Some (span_ladder topo)
+      in
+      Ok (Cst_comm.Decompose.blocks ~check:false ?spans set)
 
 let run_block ?small topo (b : Cst_comm.Decompose.block) =
   if not (Cst.Topology.is_binary topo) then begin
@@ -62,30 +58,8 @@ let merge_blocks ?log topo set block_logs =
     | Cst.Exec_log.Run_end { rounds } -> rounds
     | _ -> assert false
   in
-  let cycles, control_messages = Cst.Topology.engine_cost topo ~rounds in
-  let sched = Schedule.of_log ~from ~set ~topo ~cycles merged in
-  let stats =
-    if Cst.Topology.is_binary topo then
-      {
-        Engine.cycles;
-        control_messages;
-        max_message_words =
-          (if rounds > 0 then
-             max Phase1.up_words_per_message (Downmsg.words Downmsg.null)
-           else Phase1.up_words_per_message);
-        state_words_per_switch = Csa_state.words (Csa_state.zero ());
-      }
-    else
-      (* Match [Cap_engine]'s stats so segmented and whole-set runs
-         report identical ones. *)
-      {
-        Engine.cycles;
-        control_messages;
-        max_message_words = 2;
-        state_words_per_switch = 5;
-      }
-  in
-  (sched, stats)
+  let stats = Cap_engine.stats_for topo ~rounds in
+  (Schedule.of_log ~from ~set ~topo ~cycles:stats.cycles merged, stats)
 
 let run ?(domains = 1) ?log topo set =
   match decompose topo set with

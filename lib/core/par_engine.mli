@@ -31,7 +31,8 @@ val decompose :
   Cst_comm.Comm_set.t ->
   (Cst_comm.Decompose.block list, Csa.error) result
 (** Validate the set against the topology and the engine's input
-    contract (size, right-orientation, well-nestedness — the same
+    contract with the check every producer shares ([Sched_error.check]:
+    size, then right-orientation and well-nestedness — the same
     [Csa.error]s {!Engine.run} reports) and partition it into its
     independent top-level blocks. *)
 
@@ -55,13 +56,11 @@ val merge_blocks :
 (** Merge already-rebased per-block logs (ascending block order, e.g.
     from {!run_block} or {!Plan.relocate} of a cached plan) into [?log]
     (or a fresh log), derive the schedule of the whole [set] from the
-    merged range — one derivation for all the blocks — and rebuild the
-    engine's closed-form hardware stats for [topo]:
-    [cycles = 1 + levels + rounds*(levels+2)] and
-    [2*(leaves-1)*(rounds+1)] control messages, where [rounds] is the
-    maximum block round count — the modeled hardware still clocks every
-    level and exchanges a message on every link each round, regardless
-    of how the scheduling work was computed. *)
+    merged range — one derivation for all the blocks — and take the
+    hardware stats for [topo] from {!Cap_engine.stats_for}, where
+    [rounds] is the maximum block round count: the modeled hardware
+    still clocks every level and exchanges a message on every link each
+    round, regardless of how the scheduling work was computed. *)
 
 val run :
   ?domains:int ->

@@ -5,18 +5,31 @@
     children, matches [min(S_L, D_R)] source-destination pairs locally
     (correct by the paper's Lemma 1 for well-nested right-oriented sets)
     and forwards the residue.  The pass is purely local: a switch sees only
-    the two 2-word messages from its children. *)
+    the two 2-word messages from its children.
+
+    {!fill} is the one implementation, shared by the spec ({!run}, for
+    {!Csa} and {!Invariants}) and the message-passing engine, which
+    fills its per-domain workspace with it.  A switch's upward word is
+    read back from its own registers ([sl + sr], [dl + dr]), so the pass
+    keeps no mailboxes. *)
 
 type t = {
-  states : Csa_state.t array;  (** indexed by internal node id *)
-  s_up : int array;  (** [C_U] source count sent up by each node *)
-  d_up : int array;  (** [C_U] destination count sent up by each node *)
+  states : Csa_state.t array;
+      (** indexed by internal node id; slot 0 is unused *)
 }
 
+val fill : Cst.Topology.t -> Cst_comm.Comm_set.t -> Csa_state.t array -> unit
+(** [fill topo set states] overwrites the registers [states.(1)] ..
+    [states.(leaves - 1)] of every switch, whatever they held before.
+    Requires what {!run} checks: a binary topology and a right-oriented
+    set fitting it; for well-nested input the root's residue is zero
+    (asserted).  [states] must have at least [leaves] slots. *)
+
 val run : Cst.Topology.t -> Cst_comm.Comm_set.t -> t
-(** Requires a right-oriented set fitting the topology.  For well-nested
-    input the root residuals are all zero (asserted); callers validate
-    well-nestedness beforehand ({!Csa.run} does). *)
+(** {!fill} into fresh registers.  Raises [Invalid_argument] on a
+    non-binary topology, a set with more PEs than leaves or a set that
+    is not right-oriented; callers validate well-nestedness beforehand
+    ({!Csa.run} does). *)
 
 val state : t -> int -> Csa_state.t
 (** Registers of the switch at an internal node. *)

@@ -9,6 +9,17 @@ type t =
   | Not_well_nested of Cst_comm.Well_nested.violation
   | Stalled of { round : int; remaining : int }
 
+(* The input contract of every producer ([Csa.run], [Engine], [Cap_engine],
+   [Par_engine.decompose]), checked in this order: the set fits the tree,
+   then it is right-oriented and well-nested. *)
+let check topo set =
+  let n = Cst_comm.Comm_set.n set and leaves = Cst.Topology.leaves topo in
+  if n > leaves then Error (Too_large { n; leaves })
+  else
+    match Cst_comm.Well_nested.check set with
+    | Error v -> Error (Not_well_nested v)
+    | Ok () -> Ok ()
+
 let pp fmt = function
   | Too_large { n; leaves } ->
       Format.fprintf fmt "set over %d PEs does not fit a %d-leaf CST" n leaves

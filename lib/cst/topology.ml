@@ -14,9 +14,6 @@ type t = {
   depth : int array;
       (* depth.(v) for v in [1 .. num_nodes]; slot 0 unused.  Leaves sit
          at depth [levels], the root at depth 0. *)
-  nodes_at_level : int array array;
-      (* nodes_at_level.(lvl) = every node of level [lvl] in increasing id
-         order; level levels = root, level 0 = leaves. *)
 }
 
 let of_shape shape =
@@ -36,11 +33,6 @@ let of_shape shape =
       depth.(v) <- d
     done
   done;
-  let nodes_at_level =
-    Array.init (levels + 1) (fun lvl ->
-        let d = levels - lvl in
-        Array.init sizes.(d) (fun i -> offsets.(d) + i))
-  in
   {
     shape;
     leaves;
@@ -52,7 +44,6 @@ let of_shape shape =
     caps = Shape.caps shape;
     num_nodes;
     depth;
-    nodes_at_level;
   }
 
 let create ~leaves = of_shape (Shape.binary ~leaves)
@@ -125,7 +116,6 @@ let right_u v = (v lsl 1) lor 1
 let parent_u v = v lsr 1
 let depth_u t v = Array.unsafe_get t.depth v
 let level_u t v = t.levels - Array.unsafe_get t.depth v
-let nodes_at_level t lvl = t.nodes_at_level.(lvl)
 
 let child_index t v =
   check_node t v;
@@ -222,13 +212,6 @@ let path_to_root t v =
   go v []
 
 let internal_nodes t = Seq.init (t.offsets.(t.levels) - 1) (fun i -> i + 1)
-
-let iter_internal_bottom_up t f =
-  (* BFS numbering: children always have larger ids than their parent,
-     so a descending sweep visits every node after all its children. *)
-  for v = t.offsets.(t.levels) - 1 downto 1 do
-    f v
-  done
 
 let pp fmt t =
   if t.binary then

@@ -119,11 +119,6 @@ val depth_u : t -> int -> int
 val level_u : t -> int -> int
 (** [levels t - depth_u t v], unchecked table lookup. *)
 
-val nodes_at_level : t -> int -> int array
-(** All nodes of a level in increasing id order; level [levels t] is
-    [[|root|]], level 0 the leaves.  The returned array is the topology's
-    own bucket — callers must not mutate it. *)
-
 val lca : t -> int -> int -> int
 
 val interval : t -> int -> int * int
@@ -155,9 +150,5 @@ val path_to_root : t -> int -> int list
 
 val internal_nodes : t -> int Seq.t
 (** All internal nodes, in increasing (breadth-first) order. *)
-
-val iter_internal_bottom_up : t -> (int -> unit) -> unit
-(** Visits every internal node after all of its children — the order of
-    the paper's Phase 1 control flow. *)
 
 val pp : Format.formatter -> t -> unit

@@ -524,8 +524,8 @@ type t = {
   on_outcome : (outcome -> unit) option;
 }
 
-let create ?domains ?(queue_capacity = 64) ?(cache = true) ?cache_bytes ?store
-    ?on_outcome () =
+let create ?domains ?(queue_capacity = 64) ?(cache = true) ?store ?on_outcome
+    () =
   let domain_count =
     match domains with
     | Some d -> max 1 d
@@ -537,10 +537,7 @@ let create ?domains ?(queue_capacity = 64) ?(cache = true) ?cache_bytes ?store
   let results = Hashtbl.create 64 in
   let completed = ref 0 in
   let pc =
-    if cache then
-      Some
-        (Plan_cache.create ?max_bytes:cache_bytes ?store ~domains:domain_count
-           ())
+    if cache then Some (Plan_cache.create ?store ~domains:domain_count ())
     else None
   in
   let rec worker i () =
@@ -627,8 +624,8 @@ let shutdown t =
     Option.iter Plan_cache.flush t.cache
   end
 
-let run ?domains ?queue_capacity ?cache ?cache_bytes ?store jobs =
-  let t = create ?domains ?queue_capacity ?cache ?cache_bytes ?store () in
+let run ?domains ?queue_capacity ?cache ?store jobs =
+  let t = create ?domains ?queue_capacity ?cache ?store () in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->

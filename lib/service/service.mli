@@ -214,13 +214,13 @@ val pp_outcome : Format.formatter -> outcome -> unit
 type t
 
 val create :
-  ?domains:int -> ?queue_capacity:int -> ?cache:bool -> ?cache_bytes:int ->
-  ?store:Plan_store.t -> ?on_outcome:(outcome -> unit) -> unit -> t
+  ?domains:int -> ?queue_capacity:int -> ?cache:bool -> ?store:Plan_store.t ->
+  ?on_outcome:(outcome -> unit) -> unit -> t
 (** Spawns the pool: [domains] worker domains (default
     [Domain.recommended_domain_count ()], min 1), a submission channel
     bounded by [queue_capacity] (default 64), the pool-wide plan cache
-    unless [~cache:false] ([cache_bytes] bounds it, default 32 MiB),
-    [store] its persistent disk tier.
+    unless [~cache:false] (bounded at {!Plan_cache.create}'s default
+    32 MiB), [store] its persistent disk tier.
 
     [on_outcome] switches the pool to push delivery: each completed
     outcome is handed to the callback {e on the worker domain that ran
@@ -261,7 +261,6 @@ val run :
   ?domains:int ->
   ?queue_capacity:int ->
   ?cache:bool ->
-  ?cache_bytes:int ->
   ?store:Plan_store.t ->
   job list ->
   outcome list

@@ -112,14 +112,14 @@ let record_completion t (o : Service.outcome) =
   Condition.broadcast t.done_one;
   Mutex.unlock t.m
 
-let create ?domains ?queue_capacity ?cache ?cache_bytes ?store
+let create ?domains ?queue_capacity ?cache ?store
     ?(policy = Admission.Immediate) ?(recon_delta = 16.0) ?clock ?placement ()
     =
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
   (* The pool's [on_outcome] closes over the stream being built. *)
   let cell = ref None in
   let svc =
-    Service.create ?domains ?queue_capacity ?cache ?cache_bytes ?store
+    Service.create ?domains ?queue_capacity ?cache ?store
       ~on_outcome:(fun o ->
         match !cell with Some t -> record_completion t o | None -> ())
       ()

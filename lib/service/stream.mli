@@ -59,7 +59,6 @@ val create :
   ?domains:int ->
   ?queue_capacity:int ->
   ?cache:bool ->
-  ?cache_bytes:int ->
   ?store:Plan_store.t ->
   ?policy:Admission.t ->
   ?recon_delta:float ->
@@ -67,7 +66,7 @@ val create :
   ?placement:Cst_placement.Auto.t ->
   unit ->
   t
-(** Spawns the inner pool ({!Service.create} — first five parameters are
+(** Spawns the inner pool ({!Service.create} — first four parameters are
     passed through).  [policy] defaults to {!Admission.Immediate};
     [recon_delta] (default 16.0) is the power charged per committed
     epoch; [clock] (default [Unix.gettimeofday]) is read for arrival,

@@ -52,7 +52,8 @@ let pairs ~n =
     (List.init (n / 2) (fun i -> comm (2 * i) ((2 * i) + 1)))
 
 let with_width rng ~n ~width =
-  if width < 1 || 2 * width > n then invalid_arg "Gen_wn.with_width";
+  if width < 1 || 2 * width > n then
+    invalid_arg "Gen_wn.with_width: width must be between 1 and n/2";
   if not (Cst_util.Bits.is_power_of_two n) then
     invalid_arg "Gen_wn.with_width: n must be a power of two";
   let c = n / 2 in

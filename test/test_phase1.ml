@@ -72,6 +72,11 @@ let test_rejects_oversized () =
   check_raises_invalid "too many PEs" (fun () ->
       Padr.Phase1.run t (set ~n:16 [ (0, 15) ]))
 
+let test_rejects_non_binary () =
+  let t = Cst.Topology.of_shape (Cst.Shape.kary ~k:4 ~leaves:16) in
+  check_raises_invalid "4-ary tree" (fun () ->
+      Padr.Phase1.run t (set ~n:16 [ (0, 15) ]))
+
 let test_state_words_constant () =
   check_int "5 words" 5 (Padr.Csa_state.words (Padr.Csa_state.zero ()));
   check_int "message words" 2 Padr.Phase1.up_words_per_message
@@ -103,6 +108,30 @@ let prop_crossing_counts =
       done;
       !ok)
 
+(* The engine reuses one register array per domain: [fill] must
+   overwrite whatever an earlier set's run, stopped mid-schedule, left
+   there. *)
+let prop_fill_overwrites_dirty_registers =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"fill over dirty registers equals a fresh run"
+       (QCheck.pair arbitrary_wn_set arbitrary_wn_set)
+       (fun (pa, pb) ->
+         let a = set_of_params pa and b = set_of_params pb in
+         let leaves =
+           max (Cst_comm.Comm_set.n a) (Cst_comm.Comm_set.n b)
+         in
+         let t = Cst.Topology.create ~leaves in
+         let states = (Padr.Phase1.run t a).states in
+         ignore (Padr.Round.sweep t states);
+         Padr.Phase1.fill t b states;
+         let fresh = Padr.Phase1.run t b in
+         List.for_all
+           (fun node ->
+             Padr.Csa_state.equal states.(node)
+               (Padr.Phase1.state fresh node))
+           (List.init (leaves - 1) (fun i -> i + 1))))
+
 let suite =
   [
     case "registers: hand example" test_registers_hand_example;
@@ -112,7 +141,9 @@ let suite =
     case "small set on large tree" test_small_set_on_large_tree;
     case "rejects left-oriented" test_rejects_left_oriented;
     case "rejects oversized" test_rejects_oversized;
+    case "rejects non-binary" test_rejects_non_binary;
     case "constant words" test_state_words_constant;
     prop_matched_equals_size;
     prop_crossing_counts;
+    prop_fill_overwrites_dirty_registers;
   ]

@@ -62,20 +62,7 @@ let test_path_to_root () =
 
 let test_internal_iteration () =
   let seq = List.of_seq (Cst.Topology.internal_nodes t8) in
-  check_true "breadth-first ids" (seq = [ 1; 2; 3; 4; 5; 6; 7 ]);
-  let seen = ref [] in
-  Cst.Topology.iter_internal_bottom_up t8 (fun v -> seen := v :: !seen);
-  (* every parent must appear after both children in bottom-up order *)
-  List.iteri
-    (fun i v ->
-      if v >= 2 then
-        let parent_pos =
-          match List.find_index (fun x -> x = v / 2) (List.rev !seen) with
-          | Some p -> p
-          | None -> -1
-        in
-        check_true "parent after child" (parent_pos > i))
-    (List.rev !seen)
+  check_true "breadth-first ids" (seq = [ 1; 2; 3; 4; 5; 6; 7 ])
 
 let test_mirror_node () =
   check_int "root fixed" 1 (Cst.Topology.mirror_node t8 1);
@@ -224,30 +211,6 @@ let test_unchecked_children () =
     check_int "parent_u" (Cst.Topology.parent t v) (Cst.Topology.parent_u v)
   done
 
-let test_level_buckets () =
-  List.iter
-    (fun leaves ->
-      let t = Cst.Topology.create ~leaves in
-      let seen = Array.make (Cst.Topology.num_nodes t + 1) false in
-      for lvl = 0 to Cst.Topology.levels t do
-        let bucket = Cst.Topology.nodes_at_level t lvl in
-        Array.iteri
-          (fun i v ->
-            check_int
-              (Printf.sprintf "bucket level leaves=%d v=%d" leaves v)
-              lvl (Cst.Topology.level t v);
-            check_true "bucket is fresh" (not seen.(v));
-            seen.(v) <- true;
-            if i > 0 then
-              check_true "bucket increasing" (bucket.(i - 1) < v))
-          bucket
-      done;
-      (* every node appears in exactly one bucket *)
-      for v = 1 to Cst.Topology.num_nodes t do
-        check_true "bucket covers" seen.(v)
-      done)
-    sizes
-
 let prop_lca_interval =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"lca interval contains both leaves"
@@ -295,7 +258,6 @@ let suite =
     case "lca vs brute force" test_lca_bruteforce;
     case "level table" test_level_table;
     case "unchecked accessors" test_unchecked_children;
-    case "level buckets" test_level_buckets;
     prop_lca_interval;
     prop_interval_parent;
   ]
