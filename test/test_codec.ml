@@ -195,6 +195,54 @@ let prop_log_roundtrip =
           Cst.Exec_log.digest d = Cst.Exec_log.digest log
           && Cst.Exec_log.length d = Cst.Exec_log.length log)
 
+(* Golden bytes: the MD5 of each encoding of two fixed engine plans —
+   a binary tree and a 4-ary one, whose plan carries a shape block and
+   whose log section carries the version-2 header — so any change to a
+   field's width, order, sign handling or FNV mix shows up as a moved
+   hash.  The canon hash, the shape fingerprint and the store's
+   filename hash are pinned alongside. *)
+let golden_bytes () =
+  let hex b = Digest.to_hex (Digest.bytes b) in
+  let s = set ~n:16 [ (8, 15); (9, 10); (11, 14); (12, 13) ] in
+  let check_plan name shape ~plan_md5 ~log_md5 ~tagged_md5 =
+    let plan =
+      Result.get_ok
+        (Padr.Plan.compile ~producer:Padr.Plan.Engine
+           (Cst.Topology.of_shape shape) s)
+    in
+    Alcotest.(check string) (name ^ " plan bytes") plan_md5
+      (hex (PC.encode plan));
+    Alcotest.(check string) (name ^ " log bytes") log_md5
+      (hex (LC.encode plan.log));
+    Alcotest.(check string)
+      (name ^ " tagged log bytes")
+      tagged_md5
+      (hex
+         (LC.encode
+            ~canon_hash:(Cst.Canon.hash plan.canon)
+            ~shape_fp:(Cst.Shape.fingerprint plan.shape)
+            plan.log));
+    plan
+  in
+  ignore
+    (check_plan "binary" (Cst.Shape.binary ~leaves:16)
+       ~plan_md5:"4ac66ac59b6e4f62da022da58d79c901"
+       ~log_md5:"f3fad34bc37d7a04c26f6cc401c4aa04"
+       ~tagged_md5:"3df0ac0e1edae169ada9984e21c32e98");
+  let kplan =
+    check_plan "kary:4" (Cst.Shape.kary ~k:4 ~leaves:16)
+      ~plan_md5:"444b0bda87286c1dd540c89fcd29acf6"
+      ~log_md5:"2603e6390d2082bb075ab19e184fb108"
+      ~tagged_md5:"29eb6a8e0a195a7e5fa38f9b0302ff1e"
+  in
+  let fp = Cst.Shape.fingerprint kplan.shape in
+  let hex_int = Printf.sprintf "%016x" in
+  Alcotest.(check string) "canon hash" "2893f4181c773287"
+    (hex_int (Cst.Canon.hash kplan.canon));
+  Alcotest.(check string) "shape fingerprint" "1c8160f6882c02c1" (hex_int fp);
+  Alcotest.(check string) "store filename hash" "16c3576616f306f2"
+    (hex_int (Cst.Canon.hash_with ~shape_fp:fp kplan.canon))
+
 let suite =
   [
     case "empty log round trip" roundtrip_empty;
@@ -205,4 +253,5 @@ let suite =
     case "plan corruption is typed" plan_errors;
     prop_replay_fresh;
     prop_log_roundtrip;
+    case "golden bytes of binary and kary:4 plans" golden_bytes;
   ]

@@ -429,6 +429,49 @@ let test_uncacheable_paths_bypass () =
       | Some s -> check_int "no lookups recorded" 0 (s.hits + s.misses)
       | None -> Alcotest.fail "cache is on")
 
+(* Without a cache every path reports [Bypass], including the
+   well-nested jobs a cached pool would look up. *)
+let test_cacheless_pool_bypasses () =
+  let t = Service.create ~domains:1 ~cache:false () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown t)
+    (fun () ->
+      let s = set ~n:16 [ (0, 7); (1, 2); (8, 11); (9, 10) ] in
+      let engines = [ Service.Spec; Service.Message_passing; Service.Segmented ] in
+      List.iteri
+        (fun id engine ->
+          Service.submit t (Service.job ~engine ~id ~algo:"csa" s))
+        engines;
+      let outcomes = Service.drain t in
+      check_int "three outcomes" 3 (List.length outcomes);
+      List.iter
+        (fun (o : Service.outcome) ->
+          match o.result with
+          | Ok r ->
+              check_true
+                (Printf.sprintf "job %d reports Bypass" o.job_id)
+                (r.cache = Service.Bypass)
+          | Error e -> Alcotest.failf "job %d: %a" o.job_id Service.pp_error e)
+        outcomes)
+
+(* A crossing set on the message-passing engine is rejected with the
+   typed violation before any plan is looked up or frozen. *)
+let test_engine_crossing_skips_cache () =
+  let t = Service.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown t)
+    (fun () ->
+      let crossing = set ~n:8 [ (0, 2); (1, 3) ] in
+      Service.submit t
+        (Service.job ~engine:Service.Message_passing ~id:0 ~algo:"csa"
+           crossing);
+      (match Service.drain t with
+      | [ { result = Error (Service.Not_well_nested _); _ } ] -> ()
+      | _ -> Alcotest.fail "expected one Not_well_nested outcome");
+      match Service.cache_stats t with
+      | Some s -> check_int "no lookups recorded" 0 (s.hits + s.misses)
+      | None -> Alcotest.fail "cache is on")
+
 (* Segmented jobs consult the cache once per block: an identical
    resubmission replays every block (reported [Hit]), a set sharing only
    some block shapes replays those and schedules the rest ([Miss]). *)
@@ -627,4 +670,6 @@ let suite =
     case "plan cache duplicate insert" test_plan_cache_duplicate_add;
     case "oversized plan not admitted" test_oversized_plan_not_admitted;
     case "4096-PE full onion allocates O(events)" test_full_onion_allocation;
+    case "cache-less pool bypasses every engine" test_cacheless_pool_bypasses;
+    case "engine crossing job skips the cache" test_engine_crossing_skips_cache;
   ]
