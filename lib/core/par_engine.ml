@@ -53,12 +53,9 @@ let merge_blocks ?log topo set block_logs =
   let out = match log with Some l -> l | None -> Cst.Exec_log.create () in
   let from = Cst.Exec_log.length out in
   let merged = Cst.Exec_log.merge ~into:out ~levels block_logs in
-  let rounds =
-    match Cst.Exec_log.event merged (Cst.Exec_log.length merged - 1) with
-    | Cst.Exec_log.Run_end { rounds } -> rounds
-    | _ -> assert false
+  let stats =
+    Cap_engine.stats_for topo ~rounds:(Cst.Exec_log.final_rounds merged)
   in
-  let stats = Cap_engine.stats_for topo ~rounds in
   (Schedule.of_log ~from ~set ~topo ~cycles:stats.cycles merged, stats)
 
 let run ?(domains = 1) ?log topo set =

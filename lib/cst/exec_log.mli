@@ -71,6 +71,11 @@ val event : t -> int -> event
 (** Decode the event at a position.  Raises [Invalid_argument] outside
     [0 .. length - 1]. *)
 
+val final_rounds : t -> int
+(** The round count of the run that ends the log: its last event's
+    [Run_end].  Raises [Invalid_argument] if the log does not end with
+    one. *)
+
 val iter : ?from:int -> ?upto:int -> t -> (event -> unit) -> unit
 val fold : ?from:int -> ?upto:int -> t -> init:'a -> f:('a -> event -> 'a) -> 'a
 

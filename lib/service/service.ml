@@ -152,17 +152,19 @@ let classify set =
     | Error v -> Right_crossing v
   else Mixed_orientation
 
-(* Cacheable paths consult the plan cache before scheduling: on a hit
-   the frozen plan is replayed ({!Padr.Plan.replay}) — or, per block on
-   the segmented path, only its log relocated ({!Padr.Plan.relocate}) —
-   instead of running the scheduler, on a miss the run just performed is
-   frozen into the cache.  Only successful well-nested runs are cached
-   — wave covers (multi-wave logs have no single rebase block) and
-   errors bypass the cache entirely.  Congruence of the cache key
-   guarantees byte-equal outcomes: equal signatures mean the sets are
-   aligned translates, so the replayed digest, power totals and round
-   counts equal a fresh run's (property-tested in test/test_plan.ml and
-   test_service.ml). *)
+(* Cacheable paths consult the plan cache before scheduling, through
+   one cycle in [dispatch]: [lookup] builds the set's key and finds its
+   resident plan; a hit replays the frozen plan ({!Padr.Plan.replay}) —
+   or, per block on the segmented path, only relocates its log
+   ({!Padr.Plan.relocate}) — instead of running the scheduler; a miss
+   runs it and [freeze]s the run under the key its lookup built; and
+   [finish] digests the log and reports the outcome.  Only successful
+   well-nested runs are cached — wave covers (multi-wave logs have no
+   single rebase block), crossing sets and errors bypass the cache
+   entirely.  Congruence of the cache key guarantees byte-equal
+   outcomes: equal signatures mean the sets are aligned translates, so
+   the replayed digest, power totals and round counts equal a fresh
+   run's (property-tested in test/test_plan.ml and test_service.ml). *)
 
 (* Topologies are immutable and a domain's consecutive jobs mostly share
    one shape, so each domain keeps the last topology it built instead of
@@ -199,50 +201,65 @@ let dispatch ?cache (job : job) =
           Error (Unsupported { algo = a.name; what = "non-binary topologies" })
         else
         let shape = Cst.Topology.shape topo in
-        (* The one plan key of a whole set or a block: binary plans
-           replay at any compatible placement, so their pin is 0;
-           non-binary plans replay only at the base they were compiled
-           at. *)
-        let plan_key ~engine set : Plan_cache.key =
-          let placed = Cst.Canon.place set in
-          { algo = a.name; engine; shape;
-            base = (if binary then 0 else placed.base);
-            canon = placed.canon }
-        in
-        let with_cache ~engine ~producer ~hit ~fresh =
+        (* [None] without a cache, else the key of a whole set or a block
+           and its resident plan.  Binary plans replay at any compatible
+           placement, so their pin is 0; non-binary plans replay only at
+           the base they were compiled at. *)
+        let lookup ~engine set =
           match cache with
-          | None -> fresh ~cache_status:Bypass ~freeze:None
-          | Some (pc, worker) -> (
-              let key = plan_key ~engine job.set in
-              match Plan_cache.find pc ~worker key with
-              | Some plan -> hit (Padr.Plan.replay plan topo job.set)
-              | None ->
-                  let freeze ~rounds ~cycles ~control_messages log =
-                    Plan_cache.add pc ~worker key
-                      (Padr.Plan.of_log ~producer ~topo ~set:job.set ~rounds
-                         ~cycles ~control_messages log)
-                  in
-                  fresh ~cache_status:Miss ~freeze:(Some freeze))
+          | None -> None
+          | Some (pc, worker) ->
+              let placed = Cst.Canon.place set in
+              let key : Plan_cache.key =
+                { algo = a.name; engine; shape;
+                  base = (if binary then 0 else placed.base);
+                  canon = placed.canon }
+              in
+              Some (key, Plan_cache.find pc ~worker key)
         in
-        let direct ~cache_status ~freeze =
-          let log = Cst.Exec_log.create () in
-          let s = a.run ~log topo job.set in
+        let freeze key ~producer set ~rounds ~cycles ~control_messages log =
           Option.iter
-            (fun freeze ->
-              freeze
-                ~rounds:(Padr.Schedule.num_rounds s)
-                ~cycles:s.cycles ~control_messages:0 log)
-            freeze;
-          Ok
-            (result_of_schedule ~algo:a.name ~cache:cache_status
-               ~digest:(Cst.Exec_log.digest log) s)
+            (fun (pc, worker) ->
+              Plan_cache.add pc ~worker key
+                (Padr.Plan.of_log ~producer ~topo ~set ~rounds ~cycles
+                   ~control_messages log))
+            cache
         in
-        let direct_cached () =
-          with_cache ~engine:false ~producer:Padr.Plan.Spec ~fresh:direct
-            ~hit:(fun (r : Padr.Plan.replayed) ->
-              Ok
-                (result_of_schedule ~algo:a.name ~cache:Hit
-                   ~digest:(Cst.Exec_log.digest r.log) r.schedule))
+        let finish ?control_messages ?blocks ?block_hits status log s =
+          Ok
+            (result_of_schedule ~algo:a.name ~cache:status
+               ~digest:(Cst.Exec_log.digest log) ?control_messages ?blocks
+               ?block_hits s)
+        in
+        (* The whole-set path of both engines: replay a resident plan,
+           else schedule the set into a fresh log through [run] (which
+           returns the schedule and its control-message count) and
+           freeze that run when the set is [cacheable] and a cache is
+           attached. *)
+        let whole ~engine ~producer ~cacheable run =
+          match if cacheable then lookup ~engine job.set else None with
+          | Some (_, Some plan) ->
+              let r = Padr.Plan.replay plan topo job.set in
+              finish ~control_messages:r.control_messages Hit r.log r.schedule
+          | looked -> (
+              let log = Cst.Exec_log.create () in
+              match run log with
+              | Error e -> Error e
+              | Ok (s, control_messages) ->
+                  let status =
+                    match looked with
+                    | None -> Bypass
+                    | Some (key, _) ->
+                        freeze key ~producer job.set
+                          ~rounds:(Padr.Schedule.num_rounds s)
+                          ~cycles:s.cycles ~control_messages log;
+                        Miss
+                  in
+                  finish ~control_messages status log s)
+        in
+        let spec ~cacheable =
+          whole ~engine:false ~producer:Padr.Plan.Spec ~cacheable (fun log ->
+              Ok (a.run ~log topo job.set, 0))
         in
         let waves () =
           if not binary then
@@ -260,38 +277,18 @@ let dispatch ?cache (job : job) =
                    ~digest:(Cst.Exec_log.digest log) w)
           | Error e -> Error (error_of_csa e)
         in
-        let engine_fresh ~cache_status ~freeze =
-          let log = Cst.Exec_log.create () in
-          match Padr.Engine.run ~log topo job.set with
-          | Ok (s, stats) ->
-              Option.iter
-                (fun freeze ->
-                  freeze
-                    ~rounds:(Padr.Schedule.num_rounds s)
-                    ~cycles:s.cycles
-                    ~control_messages:stats.control_messages log)
-                freeze;
-              Ok
-                (result_of_schedule ~algo:a.name ~cache:cache_status
-                   ~digest:(Cst.Exec_log.digest log)
-                   ~control_messages:stats.control_messages s)
-          | Error e -> Error (error_of_csa e)
-        in
         match job.engine with
+        | (Message_passing | Segmented) when not a.caps.engine_available ->
+            Error
+              (Unsupported { algo = a.name; what = "the message-passing engine" })
         | Message_passing ->
-            if not a.caps.engine_available then
-              Error
-                (Unsupported { algo = a.name; what = "the message-passing engine" })
-            else if classify job.set = Right_well_nested then
-              with_cache ~engine:true ~producer:Padr.Plan.Engine
-                ~fresh:engine_fresh
-                ~hit:(fun (r : Padr.Plan.replayed) ->
-                  Ok
-                    (result_of_schedule ~algo:a.name ~cache:Hit
-                       ~digest:(Cst.Exec_log.digest r.log)
-                       ~control_messages:r.control_messages r.schedule))
-            else engine_fresh ~cache_status:Bypass ~freeze:None
-        | Segmented ->
+            whole ~engine:true ~producer:Padr.Plan.Engine
+              ~cacheable:(classify job.set = Right_well_nested)
+              (fun log ->
+                match Padr.Engine.run ~log topo job.set with
+                | Ok (s, stats) -> Ok (s, stats.control_messages)
+                | Error e -> Error (error_of_csa e))
+        | Segmented -> (
             (* Segment-parallel engine path: decompose into independent
                top-level blocks, serve each block from the plan cache
                when its signature is resident (a cached block's log is
@@ -302,87 +299,66 @@ let dispatch ?cache (job : job) =
                the path taken.  Per-block plans are keyed exactly like
                whole-set engine plans (same canon, full-tree [leaves]),
                so a whole-set plan can serve a single-block job and vice
-               versa. *)
-            if not a.caps.engine_available then
-              Error
-                (Unsupported { algo = a.name; what = "the message-passing engine" })
-            else (
-              (* [decompose] is the one validation on this path: it
-                 rejects crossing and mixed sets with the error the
-                 sequential engine reports (same size check, then the
-                 same [Well_nested.check]), so those outcomes are
-                 identical to [Message_passing]'s uncached bypass. *)
-              match Padr.Par_engine.decompose topo job.set with
-              | Error e -> Error (error_of_csa e)
-              | Ok bs -> (
-                  let hits = ref 0 in
-                  let block_log (b : Cst_comm.Decompose.block) =
-                    match cache with
-                    | None -> Padr.Par_engine.run_block topo b
-                    | Some (pc, worker) -> (
-                        let key = plan_key ~engine:true b.set in
-                        match Plan_cache.find pc ~worker key with
-                        | Some plan ->
-                            incr hits;
-                            Ok (Padr.Plan.relocate plan topo b.set)
-                        | None -> (
-                            match Padr.Par_engine.run_block topo b with
-                            | Error e -> Error e
-                            | Ok blog ->
-                                (* The rebased block log is exactly what a
-                                   standalone engine run of [b.set] on the
-                                   full tree would emit; freeze it with the
-                                   engine's closed-form metadata. *)
-                                let rounds =
-                                  match
-                                    Cst.Exec_log.event blog
-                                      (Cst.Exec_log.length blog - 1)
-                                  with
-                                  | Cst.Exec_log.Run_end { rounds } -> rounds
-                                  | _ -> assert false
-                                in
-                                let cycles, control_messages =
-                                  Cst.Topology.engine_cost topo ~rounds
-                                in
-                                Plan_cache.add pc ~worker key
-                                  (Padr.Plan.of_log ~producer:Padr.Plan.Engine
-                                     ~topo ~set:b.set ~rounds ~cycles
-                                     ~control_messages blog);
-                                Ok blog))
-                  in
-                  let rec collect acc = function
-                    | [] -> Ok (List.rev acc)
-                    | b :: rest -> (
-                        match block_log b with
-                        | Error e -> Error e
-                        | Ok l -> collect (l :: acc) rest)
-                  in
-                  match collect [] bs with
-                  | Error e -> Error (error_of_csa e)
-                  | Ok logs ->
-                      let log = Cst.Exec_log.create () in
-                      let s, stats =
-                        Padr.Par_engine.merge_blocks ~log topo job.set logs
-                      in
-                      let nblocks = List.length bs in
-                      let cache_status =
-                        match cache with
-                        | None -> Bypass
-                        | Some _ ->
-                            if nblocks > 0 && !hits = nblocks then Hit
-                            else Miss
-                      in
-                      Ok
-                        (result_of_schedule ~algo:a.name ~cache:cache_status
-                           ~digest:(Cst.Exec_log.digest log)
-                           ~control_messages:stats.control_messages
-                           ~blocks:nblocks ~block_hits:!hits s)))
+               versa.  [decompose] is the one validation on this path:
+               it rejects crossing and mixed sets with the error the
+               sequential engine reports (same size check, then the
+               same [Well_nested.check]), so those outcomes are
+               identical to [Message_passing]'s uncached bypass. *)
+            match Padr.Par_engine.decompose topo job.set with
+            | Error e -> Error (error_of_csa e)
+            | Ok bs -> (
+                let hits = ref 0 in
+                let block_log (b : Cst_comm.Decompose.block) =
+                  match lookup ~engine:true b.set with
+                  | Some (_, Some plan) ->
+                      incr hits;
+                      Ok (Padr.Plan.relocate plan topo b.set)
+                  | looked -> (
+                      match Padr.Par_engine.run_block topo b with
+                      | Error e -> Error e
+                      | Ok blog ->
+                          (* The rebased block log is exactly what a
+                             standalone engine run of [b.set] on the full
+                             tree would emit; freeze it with the engine's
+                             closed-form metadata. *)
+                          Option.iter
+                            (fun (key, _) ->
+                              let rounds = Cst.Exec_log.final_rounds blog in
+                              let cycles, control_messages =
+                                Cst.Topology.engine_cost topo ~rounds
+                              in
+                              freeze key ~producer:Padr.Plan.Engine b.set
+                                ~rounds ~cycles ~control_messages blog)
+                            looked;
+                          Ok blog)
+                in
+                let rec collect acc = function
+                  | [] -> Ok (List.rev acc)
+                  | b :: rest -> (
+                      match block_log b with
+                      | Error e -> Error e
+                      | Ok l -> collect (l :: acc) rest)
+                in
+                match collect [] bs with
+                | Error e -> Error (error_of_csa e)
+                | Ok logs ->
+                    let log = Cst.Exec_log.create () in
+                    let s, stats =
+                      Padr.Par_engine.merge_blocks ~log topo job.set logs
+                    in
+                    let nblocks = List.length bs in
+                    let status =
+                      if Option.is_none cache then Bypass
+                      else if nblocks > 0 && !hits = nblocks then Hit
+                      else Miss
+                    in
+                    finish ~control_messages:stats.control_messages
+                      ~blocks:nblocks ~block_hits:!hits status log s))
         | Spec -> (
             match classify job.set with
-            | Right_well_nested -> direct_cached ()
+            | Right_well_nested -> spec ~cacheable:true
             | Right_crossing v ->
-                if a.caps.supports = `Arbitrary then
-                  direct ~cache_status:Bypass ~freeze:None
+                if a.caps.supports = `Arbitrary then spec ~cacheable:false
                 else if a.caps.via_waves then waves ()
                 else Error (Not_well_nested v)
             | Mixed_orientation ->
