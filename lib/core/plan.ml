@@ -123,9 +123,10 @@ let pp fmt (t : t) =
    classic plan file is byte-identical; non-binary plans emit version 2
    with the level table serialized as [levels][sizes...][caps...] u32s
    and the shape fingerprint echoed in the log section's header.
-   Multi-byte fields are read with a wrap-mod-2^63 [get64], so crafted
-   top bytes surface as negative values; every count is range-checked
-   after the digests pass. *)
+   Fields go through the stdlib's little-endian accessors: a 32-bit
+   field reads unsigned, a 64-bit one modulo 2^63, so crafted top bytes
+   surface as negative values; every count is range-checked after the
+   digests pass. *)
 module Codec = struct
   type error =
     | Truncated of { expected : int; got : int }
@@ -153,45 +154,26 @@ module Codec = struct
   let version = 2
   let magic = "CSTPLAN1"
   let header_bytes = 80
-  let fnv_prime = 0x100000001b3
 
   let shape_block_len shape =
     if Cst.Shape.is_binary shape then 0
     else 4 * (1 + (2 * (Cst.Shape.levels shape + 1)))
 
-  let put32 b pos v =
-    for i = 0 to 3 do
-      Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
-
-  let get32 b pos =
-    Char.code (Bytes.get b pos)
-    lor (Char.code (Bytes.get b (pos + 1)) lsl 8)
-    lor (Char.code (Bytes.get b (pos + 2)) lsl 16)
-    lor (Char.code (Bytes.get b (pos + 3)) lsl 24)
-
-  let put64 b pos v =
-    for i = 0 to 7 do
-      Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
-
-  let get64 b pos =
-    let v = ref 0 in
-    for i = 7 downto 0 do
-      v := (!v lsl 8) lor Char.code (Bytes.get b (pos + i))
-    done;
-    !v
+  let u32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xffff_ffff
+  let u63 b pos = Int64.to_int (Bytes.get_int64_le b pos)
+  let set_u32 b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
+  let set_u64 b pos v = Bytes.set_int64_le b pos (Int64.of_int v)
 
   (* [extra_len] = shape block + offsets: everything between the header
      and the log section, contiguous from [header_bytes]. *)
   let meta_digest b ~extra_len =
-    let h = ref 0x3bf29ce484222325 in
-    let mix c = h := ((!h lxor c) * fnv_prime) land max_int in
+    let h = ref Cst_util.Fnv.basis in
+    let mix i = h := Cst_util.Fnv.mix !h (Bytes.get_uint8 b i) in
     for i = 0 to 71 do
-      mix (Char.code (Bytes.get b i))
+      mix i
     done;
     for i = header_bytes to header_bytes + extra_len - 1 do
-      mix (Char.code (Bytes.get b i))
+      mix i
     done;
     !h
 
@@ -208,35 +190,32 @@ module Codec = struct
     let shape_len = shape_block_len t.shape in
     let b = Bytes.create (encoded_bytes t) in
     Bytes.blit_string magic 0 b 0 8;
-    put32 b 8 (if binary then 1 else version);
-    Bytes.set b 12
-      (Char.chr (match t.producer with Spec -> 0 | Engine -> 1));
-    Bytes.set b 13 '\000';
-    Bytes.set b 14 '\000';
-    Bytes.set b 15 '\000';
-    put64 b 16 t.leaves;
-    put64 b 24 t.base;
-    put64 b 32 t.rounds;
-    put64 b 40 t.cycles;
-    put64 b 48 t.control_messages;
-    put64 b 56 (Cst.Canon.align t.canon);
-    put64 b 64 n;
+    set_u32 b 8 (if binary then 1 else version);
+    (* the producer byte and its three reserved zero bytes *)
+    set_u32 b 12 (match t.producer with Spec -> 0 | Engine -> 1);
+    set_u64 b 16 t.leaves;
+    set_u64 b 24 t.base;
+    set_u64 b 32 t.rounds;
+    set_u64 b 40 t.cycles;
+    set_u64 b 48 t.control_messages;
+    set_u64 b 56 (Cst.Canon.align t.canon);
+    set_u64 b 64 n;
     if not binary then begin
       let levels = Cst.Shape.levels t.shape in
       let sizes = Cst.Shape.sizes t.shape and caps = Cst.Shape.caps t.shape in
-      put32 b header_bytes levels;
+      set_u32 b header_bytes levels;
       for d = 0 to levels do
-        put32 b (header_bytes + 4 + (4 * d)) sizes.(d);
-        put32 b (header_bytes + 4 + (4 * (levels + 1)) + (4 * d)) caps.(d)
+        set_u32 b (header_bytes + 4 + (4 * d)) sizes.(d);
+        set_u32 b (header_bytes + 4 + (4 * (levels + 1)) + (4 * d)) caps.(d)
       done
     end;
     let offs_pos = header_bytes + shape_len in
     Array.iteri
       (fun i (s, d) ->
-        put32 b (offs_pos + (8 * i)) s;
-        put32 b (offs_pos + (8 * i) + 4) d)
+        set_u32 b (offs_pos + (8 * i)) s;
+        set_u32 b (offs_pos + (8 * i) + 4) d)
       (Cst.Canon.offsets t.canon);
-    put64 b 72 (meta_digest b ~extra_len:(shape_len + (8 * n)));
+    set_u64 b 72 (meta_digest b ~extra_len:(shape_len + (8 * n)));
     ignore
       (Cst.Exec_log.Codec.encode_into
          ~canon_hash:(Cst.Canon.hash t.canon)
@@ -251,16 +230,16 @@ module Codec = struct
     if len < header_bytes + 4 then
       Error (Truncated { expected = header_bytes + 4; got = len })
     else
-      let levels = get32 b header_bytes in
+      let levels = u32 b header_bytes in
       if levels < 1 || levels > 60 then Error (Bad_field "shape levels")
       else
         let shape_len = 4 * (1 + (2 * (levels + 1))) in
         if len < header_bytes + shape_len then
           Error (Truncated { expected = header_bytes + shape_len; got = len })
         else
-          let size_at d = get32 b (header_bytes + 4 + (4 * d)) in
+          let size_at d = u32 b (header_bytes + 4 + (4 * d)) in
           let cap_at d =
-            get32 b (header_bytes + 4 + (4 * (levels + 1)) + (4 * d))
+            u32 b (header_bytes + 4 + (4 * (levels + 1)) + (4 * d))
           in
           if size_at 0 <> 1 || cap_at 0 <> 0 then Error (Bad_field "shape root")
           else
@@ -318,7 +297,7 @@ module Codec = struct
     else if not (String.equal (Bytes.sub_string b 0 8) magic) then
       Error Bad_magic
     else
-      let v = get32 b 8 in
+      let v = u32 b 8 in
       if v <> 1 && v <> version then
         Error (Unsupported_version { found = v; expected = version })
       else
@@ -333,7 +312,7 @@ module Codec = struct
         | Error e -> Error e
         | Ok (shape_len, shape) -> (
             let offs_pos = header_bytes + shape_len in
-            let n = get64 b 64 in
+            let n = u63 b 64 in
             if n < 0 || n > (len - offs_pos) / 8 then
               Error
                 (Truncated
@@ -344,7 +323,7 @@ module Codec = struct
                      got = len;
                    })
             else if
-              get64 b 72 <> meta_digest b ~extra_len:(shape_len + (8 * n))
+              u63 b 72 <> meta_digest b ~extra_len:(shape_len + (8 * n))
             then Error Digest_mismatch
             else
               let producer =
@@ -356,16 +335,16 @@ module Codec = struct
               match producer with
               | Error e -> Error e
               | Ok producer -> (
-                  let leaves = get64 b 16
-                  and base = get64 b 24
-                  and rounds = get64 b 32
-                  and cycles = get64 b 40
-                  and control_messages = get64 b 48
-                  and align = get64 b 56 in
+                  let leaves = u63 b 16
+                  and base = u63 b 24
+                  and rounds = u63 b 32
+                  and cycles = u63 b 40
+                  and control_messages = u63 b 48
+                  and align = u63 b 56 in
                   let offs =
                     Array.init n (fun i ->
-                        ( get32 b (offs_pos + (8 * i)),
-                          get32 b (offs_pos + (8 * i) + 4) ))
+                        ( u32 b (offs_pos + (8 * i)),
+                          u32 b (offs_pos + (8 * i) + 4) ))
                   in
                   match Cst.Canon.of_offsets ~align offs with
                   | exception Invalid_argument _ ->

@@ -46,19 +46,14 @@ let pp_error fmt = function
       Format.fprintf fmt "expected %d link capacities (one per tier), got %d"
         expected got
 
-let fnv_prime = 0x100000001b3
-
 let fingerprint_of ~sizes ~caps ~binary =
   if binary then 0
-  else begin
-    let h = ref 0x3bf29ce484222325 in
-    let mix v = h := ((!h lxor v) * fnv_prime) land max_int in
-    mix (Array.length sizes);
-    Array.iter mix sizes;
-    Array.iter mix caps;
+  else
+    let h = Cst_util.Fnv.mix Cst_util.Fnv.basis (Array.length sizes) in
+    let h = Array.fold_left Cst_util.Fnv.mix h sizes in
+    let h = Array.fold_left Cst_util.Fnv.mix h caps in
     (* 0 is reserved for the binary shape *)
-    if !h = 0 then 1 else !h
-  end
+    if h = 0 then 1 else h
 
 (* [sizes] root-to-leaf (sizes.(0) = 1), [caps] per uplink tier with
    caps.(0) ignored.  The single validating constructor; every public
