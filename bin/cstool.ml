@@ -88,6 +88,16 @@ let exit_err msg =
   Format.eprintf "cstool: %s@." msg;
   exit 1
 
+(* Every command that takes --store opens it here: a path that names a
+   file, lies under one, or cannot be created or read exits 1 with one
+   message naming it. *)
+let open_store dir =
+  match Cst_service.Plan_store.open_dir dir with
+  | st -> st
+  | exception Sys_error m -> exit_err m
+  | exception Unix.Unix_error (e, _, _) ->
+      exit_err (Printf.sprintf "%s: %s" dir (Unix.error_message e))
+
 let place_arg =
   Arg.(
     value
@@ -361,7 +371,7 @@ let batch_cmd =
       Service.job ~engine ?placement ~id:i ~algo set
     in
     let js = List.init jobs make_job in
-    let store = Option.map Cst_service.Plan_store.open_dir store_dir in
+    let store = Option.map open_store store_dir in
     let t0 = Unix.gettimeofday () in
     let t =
       Service.create ?domains ~queue_capacity:queue ~cache:(not no_cache)
@@ -887,7 +897,7 @@ let store_arg =
 let plan_import_cmd =
   let run files store algo =
     if files = [] then exit_err "no plan files given";
-    let st = Cst_service.Plan_store.open_dir store in
+    let st = open_store store in
     List.iter
       (fun path ->
         match Padr.Plan.Codec.read_file ~path with
@@ -1083,7 +1093,7 @@ let serve_cmd =
       | Ok p -> p
       | Error e -> exit_err e
     in
-    let store = Option.map Cst_service.Plan_store.open_dir store_dir in
+    let store = Option.map open_store store_dir in
     let default_engine = Option.value engine_opt ~default:Service.Spec in
     let placement = obtain_mapping place in
     let auto =

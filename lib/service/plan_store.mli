@@ -38,8 +38,13 @@ val open_dir : ?max_bytes:int -> string -> t
 (** Opens (creating directories as needed) a store rooted at the given
     directory and indexes the [*.plan] files already present, oldest
     mtime first; if they exceed [max_bytes] (default 256 MiB) the
-    oldest are evicted immediately.  Raises [Unix.Unix_error] if the
-    directory cannot be created. *)
+    oldest are evicted immediately.
+
+    Raises [Unix.Unix_error] if a missing directory on the path cannot
+    be created — [ENOTDIR] when the path lies under a file, [EACCES]
+    without permission — and [Sys_error] if the directory cannot be
+    read, as when the path itself names a file.  [cstool] turns both
+    into one message naming the path. *)
 
 val dir : t -> string
 
