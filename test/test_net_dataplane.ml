@@ -168,6 +168,51 @@ let test_route_matches_trace =
          let dsts = List.map snd (Data_plane.transfer net ~sources:pes) in
          List.length (List.sort_uniq compare dsts) = List.length dsts))
 
+(* Every configuration [Switch_config.set] can build: the closure of the
+   empty configuration under every connection [set] accepts. *)
+let buildable_configs () =
+  let rec close seen = function
+    | [] -> seen
+    | cfg :: rest ->
+        let next =
+          List.concat_map
+            (fun output ->
+              List.filter_map
+                (fun input ->
+                  match Switch_config.set cfg ~output ~input with
+                  | c when not (List.exists (Switch_config.equal c) seen) ->
+                      Some c
+                  | _ -> None
+                  | exception Invalid_argument _ -> None)
+                Side.all)
+            Side.all
+          |> List.sort_uniq compare
+        in
+        close (seen @ next) (rest @ next)
+  in
+  close [ Switch_config.empty ] [ Switch_config.empty ]
+
+(* A lazy reconfiguration that wants nothing is a no-op, from every
+   configuration the switch can hold: its configuration stays and the
+   log gains no event.  This is what lets a scheduler skip every switch
+   it did not configure this round. *)
+let test_lazy_empty_want_is_noop () =
+  let configs = buildable_configs () in
+  check_int "buildable configurations" 18 (List.length configs);
+  List.iter
+    (fun cfg ->
+      let net = Net.create (topo 8) in
+      Net.reconfigure net ~node:3 cfg;
+      let log = Net.log net in
+      let before = Exec_log.Codec.encode log in
+      Net.reconfigure_lazy net ~node:3 ~want:Switch_config.empty;
+      let msg = Format.asprintf "%a" Switch_config.pp cfg in
+      check_true (msg ^ ": configuration kept")
+        (Switch_config.equal (Net.config net 3) cfg);
+      check_true (msg ^ ": log untouched")
+        (Bytes.equal before (Exec_log.Codec.encode log)))
+    configs
+
 let test_route_rejects_non_binary () =
   let net = Net.create (Topology.of_shape (Shape.kary ~k:4 ~leaves:16)) in
   check_raises_invalid "route" (fun () -> Data_plane.route net ~src:0);
@@ -191,5 +236,6 @@ let suite =
     case "bad indices" test_bad_indices;
     case "transfer collision" test_transfer_collision;
     case "route rejects a non-binary net" test_route_rejects_non_binary;
+    case "lazy empty want is a no-op" test_lazy_empty_want_is_noop;
     test_route_matches_trace;
   ]
