@@ -23,7 +23,6 @@ let run ?(eager_clear = false) ?net ?log topo set =
     match Sched_error.check topo set with
     | Error e -> Error e
     | Ok () ->
-        let phase1 = Phase1.run topo set in
         let net =
           match net with
           | Some net ->
@@ -34,24 +33,31 @@ let run ?(eager_clear = false) ?net ?log topo set =
               net
           | None -> Cst.Net.create ?log topo
         in
+        Round.with_workspace topo @@ fun ws ->
         let log = Cst.Net.log net in
         (* The cursor makes the derived views cover this run only, even
            on a shared long-lived net. *)
         let from = Cst.Exec_log.length log in
+        let remaining = ref (Round.prepare ws topo set) in
         Cst.Exec_log.phase_done log ~levels:(Cst.Topology.levels topo);
-        let remaining = ref (Phase1.total_matched phase1) in
         let index = ref 0 in
         try
         while !remaining > 0 do
           incr index;
           Cst.Exec_log.round_begin log ~index:!index;
-          let out = Round.sweep topo phase1.states in
+          let out = Round.sweep topo ws in
           if out.matched_count = 0 then
             raise (Stall { round = !index; remaining = !remaining });
-          for node = 1 to leaves - 1 do
-            if eager_clear then Cst.Net.reconfigure net ~node out.wants.(node)
-            else Cst.Net.reconfigure_lazy net ~node ~want:out.wants.(node)
-          done;
+          (* A switch the sweep did not configure wants nothing, and a
+             lazy reconfiguration to nothing changes nothing and logs
+             nothing: only the configured switches are touched. *)
+          if eager_clear then
+            for node = 1 to leaves - 1 do
+              Cst.Net.reconfigure net ~node ws.wants.(node)
+            done
+          else
+            Round.iter_configured ws (fun node want ->
+                Cst.Net.reconfigure_lazy net ~node ~want);
           List.iter (fun pe -> Cst.Net.pe_write net ~pe pe) out.sources;
           let deliveries = Cst.Data_plane.transfer net ~sources:out.sources in
           List.iter

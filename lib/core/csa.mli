@@ -1,12 +1,21 @@
 (** The Configuration and Scheduling Algorithm (paper §3).
 
     Runs Phase 1 once, then Phase 2 rounds until every communication has
-    been performed.  Switch reconfiguration is {e lazy} (PADR): a switch's
-    live configuration is only touched where the round's decisions require
+    been performed, on the calling domain's workspace
+    ({!Round.with_workspace}), which the message-passing engine shares:
+    Phase 1 is {!Round.prepare} and each round one pruned {!Round.sweep},
+    so a run costs what its active paths touch, not O(switches) per
+    round.  Switch reconfiguration is {e lazy} (PADR): a switch's live
+    configuration is only touched where the round's decisions require
     it, which is what yields O(1) configuration changes per switch
-    (Theorem 8).  Setting [eager_clear] reconfigures each switch to exactly
-    the round's connections, clearing everything else — the behaviour the
-    ablation experiment contrasts against. *)
+    (Theorem 8), and only the switches the sweep configured are passed
+    to {!Cst.Net.reconfigure_lazy}, in ascending node order — for every
+    other switch an empty want is a no-op.  Setting [eager_clear]
+    reconfigures every switch to exactly the round's connections,
+    clearing everything else — the behaviour the ablation experiment
+    contrasts against.  The tests keep the unpruned spec, which sweeps
+    and reconfigures every switch every round, and check this one's log
+    against it byte for byte ([test/helpers.ml]). *)
 
 type error = Sched_error.t =
   | Too_large of { n : int; leaves : int }

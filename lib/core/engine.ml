@@ -5,91 +5,16 @@ type stats = Cap_engine.stats = {
   state_words_per_switch : int;
 }
 
-(* A small growable int buffer: the per-round source/dest/dirty lists are
-   appended to thousands of times per run, so they are reused across rounds
-   and only ever grow. *)
-module Ibuf = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create cap = { a = Array.make (max cap 1) 0; len = 0 }
-  let clear b = b.len <- 0
-  let get b i = b.a.(i)
-
-  let push b x =
-    if b.len = Array.length b.a then begin
-      let a' = Array.make (2 * Array.length b.a) 0 in
-      Array.blit b.a 0 a' 0 b.len;
-      b.a <- a'
-    end;
-    b.a.(b.len) <- x;
-    b.len <- b.len + 1
-
-  let to_list b = List.init b.len (fun i -> b.a.(i))
-end
-
-(* Engine workspace.  The switch-indexed arrays have [leaves] slots,
-   indexed by node id like [Phase1]'s registers (slot 0 unused), and the
-   [wants] are cleared through a dirty list, never by whole-array fills.
-   Each domain keeps the last one it used and reuses it while the leaf
-   count matches: [Phase1.fill] overwrites every switch's registers,
-   the [pending] counters are rebuilt from them, and each round starts
-   by resetting the [wants] its predecessor dirtied — the first round
-   those of the previous run, however it ended.  Only a run that
-   returns puts its workspace back. *)
-type workspace = {
-  states : Csa_state.t array;  (* switch registers *)
-  pending : int array;
-      (* pending.(v) = unscheduled matches left in v's subtree; the
-         frontier prunes any child subtree with no message and no pending
-         match, which bounds a round at O(active paths * depth). *)
-  wants : Cst.Switch_config.t array;
-  dirty : Ibuf.t;  (* switches whose want was set this round *)
-  stack_node : int array;  (* DFS frontier stack; length levels + 2 *)
-  stack_msg : Downmsg.t array;
-  srcs : Ibuf.t;
-  dsts : Ibuf.t;
-}
-
-let make_workspace topo =
-  let leaves = Cst.Topology.leaves topo in
-  let cap = Cst.Topology.levels topo + 2 in
-  {
-    states = Array.init leaves (fun _ -> Csa_state.zero ());
-    pending = Array.make leaves 0;
-    wants = Array.make leaves Cst.Switch_config.empty;
-    dirty = Ibuf.create 64;
-    stack_node = Array.make cap 0;
-    stack_msg = Array.make cap Downmsg.null;
-    srcs = Ibuf.create 64;
-    dsts = Ibuf.create 64;
-  }
-
-let last_workspace : workspace option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(* The domain's workspace for [topo], taken out of its slot for the
-   duration of [f] (a nested run on the same domain builds its own) and
-   put back when [f] returns: a run that raised drops it. *)
-let with_workspace topo f =
-  let ws =
-    match Domain.DLS.get last_workspace with
-    | Some ws when Array.length ws.pending = Cst.Topology.leaves topo ->
-        Domain.DLS.set last_workspace None;
-        ws
-    | _ -> make_workspace topo
-  in
-  let r = f ws in
-  Domain.DLS.set last_workspace (Some ws);
-  r
-
-(* A child is worth visiting when it receives a request or still owns
-   an unscheduled match. *)
-let[@inline] live ws ~leaves child (m : Downmsg.t) =
+(* [Round]'s pruning rule, written out here rather than called: the
+   development profile, which the benchmark builds, compiles with
+   [-opaque], so a call into another module is never inlined, and the
+   loop below makes this test twice per visited switch. *)
+let[@inline] live (ws : Round.workspace) ~leaves child (m : Downmsg.t) =
   m.sreq <> None || m.dreq <> None || (child < leaves && ws.pending.(child) > 0)
 
 (* The engine executes the paper's message-passing algorithm but only
-   ever visits nodes that can act: Phase 1 is [Phase1.fill] (every
-   switch combines its children's words once), and each Phase-2 down
+   ever visits nodes that can act: Phase 1 and the pending counters are
+   [Round.prepare] on the domain's workspace, and each Phase-2 down
    sweep follows an explicit frontier of nodes that hold a message or
    still contain unscheduled matches.  Quiescent switches neither
    execute [Round.configure] (their decision is provably the null
@@ -102,7 +27,7 @@ let simulate ?log topo set =
   match Sched_error.check topo set with
   | Error e -> Error e
   | Ok () ->
-      with_workspace topo @@ fun ws ->
+      Round.with_workspace topo @@ fun ws ->
       let leaves = Cst.Topology.leaves topo in
       let levels = Cst.Topology.levels topo in
       let net = Cst.Net.create ?log topo in
@@ -110,22 +35,15 @@ let simulate ?log topo set =
       let from = Cst.Exec_log.length log in
       (* Phase 1: one cycle for the leaves' reports, then one per level;
          every node but the root sends its parent one two-word message. *)
-      Phase1.fill topo set ws.states;
+      let remaining = ref (Round.prepare ws topo set) in
       Cst.Exec_log.phase_done log ~levels;
       let cycles = ref (levels + 1) in
       let messages = ref (2 * (leaves - 1)) in
       let max_words = ref Phase1.up_words_per_message in
-
-      (* Subtree pending-match counters drive the frontier pruning. *)
-      for v = leaves - 1 downto 1 do
-        let below =
-          if 2 * v < leaves then ws.pending.(2 * v) + ws.pending.((2 * v) + 1)
-          else 0
-        in
-        ws.pending.(v) <- ws.states.(v).m + below
-      done;
-
-      let remaining = ref ws.pending.(Cst.Topology.root) in
+      (* The DFS frontier never holds more than one pending sibling per
+         level plus the node being expanded. *)
+      let stack_node = Array.make (levels + 2) 0 in
+      let stack_msg = Array.make (levels + 2) Downmsg.null in
       let index = ref 0 in
       (* Per round, the modeled hardware exchanges one down message per
          tree link (2*(leaves-1) messages of [Downmsg.words] words) and
@@ -137,44 +55,39 @@ let simulate ?log topo set =
         while !remaining > 0 do
           incr index;
           Cst.Exec_log.round_begin log ~index:!index;
-          for i = 0 to ws.dirty.len - 1 do
-            ws.wants.(Ibuf.get ws.dirty i) <- Cst.Switch_config.empty
-          done;
-          Ibuf.clear ws.dirty;
-          Ibuf.clear ws.srcs;
-          Ibuf.clear ws.dsts;
+          let sources = ref [] in
           let matched = ref 0 in
           (* Down sweep over the active frontier only.  Pushing the right
              child first makes the explicit stack visit leaves in
-             increasing PE order, like the spec's recursive sweep. *)
+             increasing PE order, like the spec's recursive sweep.  A
+             switch is reconfigured as it decides, in this visit order;
+             for every switch left alone [reconfigure_lazy] with an empty
+             want would be a provable no-op (lazy merge keeps the old
+             configuration and charges nothing). *)
           let sp = ref 0 in
           let push node msg =
-            ws.stack_node.(!sp) <- node;
-            ws.stack_msg.(!sp) <- msg;
+            stack_node.(!sp) <- node;
+            stack_msg.(!sp) <- msg;
             incr sp
           in
           push Cst.Topology.root Downmsg.null;
           while !sp > 0 do
             decr sp;
-            let node = ws.stack_node.(!sp) in
-            let msg = ws.stack_msg.(!sp) in
+            let node = stack_node.(!sp) in
+            let msg = stack_msg.(!sp) in
             if node >= leaves then begin
-              let pe = node - leaves in
               (match msg.Downmsg.sreq with
-              | Some 0 -> Ibuf.push ws.srcs pe
+              | Some 0 -> sources := (node - leaves) :: !sources
               | None -> ()
               | Some _ -> assert false);
               match msg.Downmsg.dreq with
-              | Some 0 -> Ibuf.push ws.dsts pe
-              | None -> ()
+              | Some 0 | None -> ()
               | Some _ -> assert false
             end
             else begin
               let d = Round.configure ws.states.(node) msg in
-              if not (Cst.Switch_config.is_empty d.config) then begin
-                ws.wants.(node) <- d.config;
-                Ibuf.push ws.dirty node
-              end;
+              if not (Cst.Switch_config.is_empty d.config) then
+                Cst.Net.reconfigure_lazy net ~node ~want:d.config;
               if d.scheduled_matched then begin
                 incr matched;
                 let v = ref node in
@@ -194,15 +107,7 @@ let simulate ?log topo set =
           messages := !messages + round_messages;
           max_words := max !max_words round_message_words;
           cycles := !cycles + levels + 1;
-          (* Only switches whose want changed are reconfigured; for every
-             other switch [reconfigure_lazy] with an empty want is a
-             provable no-op (lazy merge keeps the old configuration and
-             charges nothing). *)
-          for i = 0 to ws.dirty.len - 1 do
-            let node = Ibuf.get ws.dirty i in
-            Cst.Net.reconfigure_lazy net ~node ~want:ws.wants.(node)
-          done;
-          let sources = Ibuf.to_list ws.srcs in
+          let sources = List.rev !sources in
           List.iter (fun pe -> Cst.Net.pe_write net ~pe pe) sources;
           let deliveries = Cst.Data_plane.transfer net ~sources in
           List.iter

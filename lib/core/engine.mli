@@ -8,19 +8,25 @@
     engine therefore demonstrates the locality claim and measures the
     quantities of Theorem 5: cycles, message count and message size.
 
-    {!run} is a sparse-frontier engine: Phase 1 is {!Phase1.fill}, the
-    spec's own pass, writing into the domain's reused register array,
-    and each Phase-2 down sweep follows an explicit frontier of nodes
-    that hold a message or still own an unscheduled match, so a round
-    costs O(active paths * depth) of simulator time instead of
-    O(n log n).  The engine charges Phase 1 ([levels + 1] cycles,
+    {!run} is a sparse-frontier engine on the workspace the spec also
+    runs on ({!Round.with_workspace}): Phase 1 and the pending counters
+    are {!Round.prepare}, and each Phase-2 down sweep follows an
+    explicit frontier of nodes that hold a message or still own an
+    unscheduled match — {!Round.sweep}'s rule, unrolled into a loop —
+    so a round costs O(active paths * depth) of simulator time instead
+    of O(n log n).  A switch is reconfigured as the frontier reaches
+    it, so the engine's log lists a round's switches in visit order
+    where the spec's lists them in node order; the digest does not see
+    the difference.  The engine charges Phase 1 ([levels + 1] cycles,
     [2 * (leaves - 1)] two-word messages) and each round in closed form,
     skipped switches' null messages included.
 
     Tests (test/test_engine_equiv.ml) assert that the engine's schedule
     is identical, round for round, to {!Csa.run}'s — sources, dests,
-    deliveries, configuration snapshots, power and log digest — and that
-    its cycles and control messages equal {!Cst.Topology.engine_cost}.
+    deliveries, configuration snapshots, power and log digest — that
+    its digest equals the unpruned reference spec's, which shares
+    neither sweep's pruning, and that its cycles and control messages
+    equal {!Cst.Topology.engine_cost}.
 
     On a non-binary topology every entry point delegates to
     {!Cap_engine} — the 3-sided message protocol is binary-only — so

@@ -6,7 +6,7 @@ type report = {
 
 let audit topo set =
   let leaves = Cst.Topology.leaves topo in
-  let phase1 = Phase1.run topo set in
+  Round.with_workspace topo @@ fun ws ->
   let pending =
     ref
       (List.sort_uniq compare
@@ -15,10 +15,10 @@ let audit topo set =
   in
   let divergence = ref None in
   let rounds = ref 0 in
-  let remaining = ref (Phase1.total_matched phase1) in
+  let remaining = ref (Round.prepare ws topo set) in
   while !remaining > 0 && !divergence = None do
     incr rounds;
-    let out = Round.sweep topo phase1.states in
+    let out = Round.sweep topo ws in
     if out.matched_count = 0 then
       failwith "Invariants.audit: no progress";
     remaining := !remaining - out.matched_count;
@@ -39,9 +39,7 @@ let audit topo set =
     for node = 1 to leaves - 1 do
       if
         !divergence = None
-        && not
-             (Csa_state.equal (Phase1.state phase1 node)
-                (Phase1.state oracle node))
+        && not (Csa_state.equal ws.states.(node) (Phase1.state oracle node))
       then divergence := Some (!rounds, node)
     done
   done;

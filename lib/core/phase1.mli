@@ -7,11 +7,11 @@
     and forwards the residue.  The pass is purely local: a switch sees only
     the two 2-word messages from its children.
 
-    {!fill} is the one implementation, shared by the spec ({!run}, for
-    {!Csa} and {!Invariants}) and the message-passing engine, which
-    fills its per-domain workspace with it.  A switch's upward word is
-    read back from its own registers ([sl + sr], [dl + dr]), so the pass
-    keeps no mailboxes. *)
+    {!fill} is the one implementation: {!Round.prepare} runs it on the
+    per-domain workspace of the spec and the message-passing engine,
+    and {!run} on fresh registers, for {!Invariants}' oracle and the
+    tests.  A switch's upward word is read back from its own registers
+    ([sl + sr], [dl + dr]), so the pass keeps no mailboxes. *)
 
 type t = {
   states : Csa_state.t array;

@@ -64,21 +64,89 @@ let configure (st : Csa_state.t) (msg : Downmsg.t) =
     scheduled_matched;
   }
 
-type outcome = {
+(* The per-domain workspace.  Switch-indexed arrays have [leaves]
+   slots, indexed by node id like [Phase1]'s registers (slot 0 unused).
+   [dirty] holds the switches the last sweep configured, bucketed by
+   depth: the [dirty_len.(d)] switches configured at depth [d] sit at
+   [dirty.(2^d) ..], in the ascending order a left-first descent visits
+   them, so walking the buckets root-first lists them in ascending node
+   order. *)
+type workspace = {
+  states : Csa_state.t array;
+  pending : int array;
   wants : Cst.Switch_config.t array;
+  dirty : int array;
+  dirty_len : int array;
+}
+
+let make_workspace topo =
+  let leaves = Cst.Topology.leaves topo in
+  {
+    states = Array.init leaves (fun _ -> Csa_state.zero ());
+    pending = Array.make leaves 0;
+    wants = Array.make leaves Cst.Switch_config.empty;
+    dirty = Array.make leaves 0;
+    dirty_len = Array.make (Cst.Topology.levels topo) 0;
+  }
+
+let last_workspace : workspace option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let with_workspace topo f =
+  let ws =
+    match Domain.DLS.get last_workspace with
+    | Some ws when Array.length ws.pending = Cst.Topology.leaves topo ->
+        Domain.DLS.set last_workspace None;
+        ws
+    | _ -> make_workspace topo
+  in
+  let r = f ws in
+  Domain.DLS.set last_workspace (Some ws);
+  r
+
+let prepare ws topo set =
+  let leaves = Cst.Topology.leaves topo in
+  Phase1.fill topo set ws.states;
+  for v = leaves - 1 downto 1 do
+    let below =
+      if 2 * v < leaves then ws.pending.(2 * v) + ws.pending.((2 * v) + 1)
+      else 0
+    in
+    ws.pending.(v) <- ws.states.(v).m + below
+  done;
+  ws.pending.(Cst.Topology.root)
+
+let iter_configured ws f =
+  Array.iteri
+    (fun depth len ->
+      for i = 1 lsl depth to (1 lsl depth) + len - 1 do
+        let node = ws.dirty.(i) in
+        f node ws.wants.(node)
+      done)
+    ws.dirty_len
+
+type outcome = {
   sources : int list;
   dests : int list;
   matched_count : int;
 }
 
-let sweep topo states =
+(* A child is worth entering when it receives a request or its subtree
+   still owns an unscheduled match; any other child makes the null
+   decision all the way down. *)
+let[@inline] live ws ~leaves child (m : Downmsg.t) =
+  m.sreq <> None || m.dreq <> None || (child < leaves && ws.pending.(child) > 0)
+
+let sweep topo ws =
   let leaves = Cst.Topology.leaves topo in
-  let wants = Array.make leaves Cst.Switch_config.empty in
+  iter_configured ws (fun node _ -> ws.wants.(node) <- Cst.Switch_config.empty);
+  Array.fill ws.dirty_len 0 (Array.length ws.dirty_len) 0;
   let sources = ref [] and dests = ref [] in
-  let matched = ref 0 in
-  let rec go node (msg : Downmsg.t) =
-    if Cst.Topology.is_leaf topo node then begin
-      let pe = Cst.Topology.pe_of_node topo node in
+  (* [go] returns the matches scheduled in [node]'s subtree, which leave
+     its pending count. *)
+  let rec go node depth (msg : Downmsg.t) =
+    if node >= leaves then begin
+      let pe = node - leaves in
       (* A request reaching a leaf must have resolved to index 0, and a PE
          is never both endpoints of the same round. *)
       (match msg.sreq with
@@ -89,20 +157,35 @@ let sweep topo states =
       | Some 0 -> dests := pe :: !dests
       | None -> ()
       | Some _ -> assert false);
-      assert (not (msg.sreq <> None && msg.dreq <> None))
+      assert (not (msg.sreq <> None && msg.dreq <> None));
+      0
     end
     else begin
-      let d = configure states.(node) msg in
-      wants.(node) <- d.config;
-      if d.scheduled_matched then incr matched;
-      go (Cst.Topology.left topo node) d.to_left;
-      go (Cst.Topology.right topo node) d.to_right
+      let d = configure ws.states.(node) msg in
+      if not (Cst.Switch_config.is_empty d.config) then begin
+        ws.wants.(node) <- d.config;
+        let k = ws.dirty_len.(depth) in
+        ws.dirty.((1 lsl depth) + k) <- node;
+        ws.dirty_len.(depth) <- k + 1
+      end;
+      (* Heap layout: the children of [node] are [2 * node] and
+         [2 * node + 1]. *)
+      let l = 2 * node and r = (2 * node) + 1 in
+      let in_left =
+        if live ws ~leaves l d.to_left then go l (depth + 1) d.to_left else 0
+      in
+      let in_right =
+        if live ws ~leaves r d.to_right then go r (depth + 1) d.to_right
+        else 0
+      in
+      let matched = Bool.to_int d.scheduled_matched + in_left + in_right in
+      ws.pending.(node) <- ws.pending.(node) - matched;
+      matched
     end
   in
-  go Cst.Topology.root Downmsg.null;
+  let matched = go Cst.Topology.root 0 Downmsg.null in
   {
-    wants;
     sources = List.rev !sources;
     dests = List.rev !dests;
-    matched_count = !matched;
+    matched_count = matched;
   }

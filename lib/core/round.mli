@@ -34,13 +34,65 @@ val configure : Csa_state.t -> Downmsg.t -> decision
     subtree does not have — impossible when Phase 1 ran on well-nested
     input. *)
 
+(** {1 The sweep}
+
+    A round is one top-down sweep from the root, on a workspace that
+    holds the switches' registers and what the sweep needs besides.
+    The sweep enters a child only when the child receives a request
+    or its subtree still owns an unscheduled match: any other child
+    would make the null decision, and so would every switch below it,
+    so skipping it is exact.  A round therefore costs O(active paths ×
+    depth), not O(switches).  The unpruned sweep that visits every
+    switch is kept in the tests as the reference this one is checked
+    against, byte for byte on the log ([test/helpers.ml]). *)
+
+type workspace = {
+  states : Csa_state.t array;
+      (** switch registers, indexed by internal node id; slot 0 unused *)
+  pending : int array;
+      (** [pending.(v)]: unscheduled matches left in [v]'s subtree *)
+  wants : Cst.Switch_config.t array;
+      (** the connections the last sweep required of each switch; empty
+          at every switch it did not configure *)
+  dirty : int array;
+      (** the switches the last sweep configured, bucketed by depth (see
+          {!iter_configured}) *)
+  dirty_len : int array;  (** bucket sizes, one per switch depth *)
+}
+(** The scheduling state of one run on a [leaves]-leaf binary tree.
+    The spec ({!Csa}) and the message-passing engine ({!Engine}) both
+    run on it; every array is written in place, so a round allocates
+    nothing tree-sized. *)
+
+val with_workspace : Cst.Topology.t -> (workspace -> 'a) -> 'a
+(** [with_workspace topo f] runs [f] on the calling domain's workspace,
+    built for [topo]'s leaf count if the domain holds none of that size.
+    The workspace is taken out of the domain's slot while [f] runs (a
+    nested call builds its own) and put back when [f] returns; if [f]
+    raises it is dropped.  The retained memory is O(leaves) of the last
+    tree size used. *)
+
+val prepare : workspace -> Cst.Topology.t -> Cst_comm.Comm_set.t -> int
+(** Phase 1 on the workspace: {!Phase1.fill} overwrites every switch's
+    registers, whatever an earlier run left there, and the pending
+    counters are rebuilt from them.  Returns the number of matches to
+    schedule (the root's pending count).  Same requirements as
+    {!Phase1.fill}. *)
+
 type outcome = {
-  wants : Cst.Switch_config.t array;  (** per internal node *)
   sources : int list;  (** PEs that write this round, ascending *)
   dests : int list;  (** PEs that receive this round, ascending *)
   matched_count : int;  (** communications scheduled this round *)
 }
 
-val sweep : Cst.Topology.t -> Csa_state.t array -> outcome
-(** Full top-down sweep from the root (which always acts on
-    [Downmsg.null]).  Mutates the state array. *)
+val sweep : Cst.Topology.t -> workspace -> outcome
+(** One round: resets the wants the previous sweep on this workspace
+    left, then sweeps from the root (which always acts on
+    [Downmsg.null]), mutating the registers and pending counters and
+    recording each configured switch's connections in [wants].  Binary
+    topologies only. *)
+
+val iter_configured :
+  workspace -> (int -> Cst.Switch_config.t -> unit) -> unit
+(** [iter_configured ws f] calls [f node want] on every switch the last
+    {!sweep} configured, in ascending node order. *)

@@ -116,8 +116,59 @@ let prop_cycles =
       let levels = Cst_util.Bits.ilog2 sched.leaves in
       sched.cycles = levels + (Padr.Schedule.num_rounds sched * (levels + 1)))
 
+(* The pruned spec against the unpruned reference ([Helpers.Reference]),
+   byte for byte on the encoded log: well-nested sets of 2..1,024 PEs,
+   lazy and eager runs, a fresh net or nets that carry an earlier set's
+   configurations (as [Waves] runs its layers), and a domain whose
+   workspace was left by a run on another set, stopped after one round,
+   or by a run on another tree size. *)
+let prop_spec_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (triple (int_bound 1_000_000) (int_range 1 10) bool)
+        (pair bool (int_bound 2)))
+  in
+  let print ((seed, n_exp, eager), (shared, left)) =
+    Printf.sprintf "seed=%d n=%d eager=%b shared=%b left=%d" seed
+      (1 lsl n_exp) eager shared left
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"spec log equals the unpruned reference's, byte for byte"
+       (QCheck.make ~print gen)
+       (fun ((seed, n_exp, eager_clear), (shared, left)) ->
+         let rng = Cst_util.Prng.create seed in
+         let draw n =
+           Cst_workloads.Gen_wn.uniform rng ~n
+             ~density:(Cst_util.Prng.float rng 1.0)
+         in
+         let n = 1 lsl n_exp in
+         let t = topo n in
+         let set = draw n and earlier = draw n in
+         (match left with
+         | 1 ->
+             Padr.Round.with_workspace t (fun ws ->
+                 ignore (Padr.Round.prepare ws t earlier);
+                 ignore (Padr.Round.sweep t ws))
+         | 2 ->
+             let m = if n_exp = 10 then n / 2 else 2 * n in
+             ignore (Padr.Csa.run_exn (topo m) (draw m))
+         | _ -> ());
+         let spec_net = Cst.Net.create t and ref_net = Cst.Net.create t in
+         if shared then begin
+           ignore (Padr.Csa.run_exn ~net:spec_net t earlier);
+           ignore (Reference.run ref_net earlier)
+         end;
+         ignore (Padr.Csa.run_exn ~eager_clear ~net:spec_net t set);
+         ignore (Reference.run ~eager_clear ref_net set);
+         Bytes.equal
+           (Cst.Exec_log.Codec.encode (Cst.Net.log spec_net))
+           (Cst.Exec_log.Codec.encode (Cst.Net.log ref_net))))
+
 let suite =
   [
+    prop_spec_matches_reference;
     prop_theorem4_delivery;
     prop_theorem5_rounds;
     prop_rounds_compatible;

@@ -1,7 +1,8 @@
 (* Schedule-equivalence guard: the sparse-frontier engine (Engine.run)
    must be observationally identical to the functional spec (Csa.run) —
    same rounds, sources, dests, deliveries, streamed config snapshots,
-   power and log digest — and its hardware statistics must equal
+   power and log digest — and both must match the unpruned reference
+   (Helpers.Reference), and the engine's hardware statistics must equal
    Theorem 5's closed form (Topology.engine_cost), across a broad
    randomized sweep of sizes, densities and widths. *)
 
@@ -60,6 +61,18 @@ let check_equiv msg topo set =
   check_power msg spec.power eng.power;
   check_true (msg ^ ": digest")
     (Cst.Exec_log.digest spec_log = Cst.Exec_log.digest eng_log);
+  (* The unpruned reference shares neither producer's pruning rule: the
+     spec's log equals its log byte for byte, and the engine's, which
+     reconfigures in its own visit order, digest for digest. *)
+  let ref_net = Cst.Net.create topo in
+  check_int (msg ^ ": reference rounds") rounds (Reference.run ref_net set);
+  let ref_log = Cst.Net.log ref_net in
+  check_true (msg ^ ": spec log = reference log")
+    (Bytes.equal
+       (Cst.Exec_log.Codec.encode spec_log)
+       (Cst.Exec_log.Codec.encode ref_log));
+  check_true (msg ^ ": engine digest = reference digest")
+    (Cst.Exec_log.digest eng_log = Cst.Exec_log.digest ref_log);
   (* Theorem 5's costs: the closed form, two-word Phase-1 messages and
      four-word down messages, five words of switch state. *)
   let cycles, messages = Cst.Topology.engine_cost topo ~rounds in

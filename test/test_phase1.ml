@@ -108,9 +108,9 @@ let prop_crossing_counts =
       done;
       !ok)
 
-(* The engine reuses one register array per domain: [fill] must
-   overwrite whatever an earlier set's run, stopped mid-schedule, left
-   there. *)
+(* The spec and the engine reuse one register array per domain: [fill]
+   must overwrite whatever an earlier set's run, stopped mid-schedule,
+   left there. *)
 let prop_fill_overwrites_dirty_registers =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100
@@ -122,13 +122,14 @@ let prop_fill_overwrites_dirty_registers =
            max (Cst_comm.Comm_set.n a) (Cst_comm.Comm_set.n b)
          in
          let t = Cst.Topology.create ~leaves in
-         let states = (Padr.Phase1.run t a).states in
-         ignore (Padr.Round.sweep t states);
-         Padr.Phase1.fill t b states;
+         Padr.Round.with_workspace t @@ fun ws ->
+         ignore (Padr.Round.prepare ws t a);
+         ignore (Padr.Round.sweep t ws);
+         Padr.Phase1.fill t b ws.states;
          let fresh = Padr.Phase1.run t b in
          List.for_all
            (fun node ->
-             Padr.Csa_state.equal states.(node)
+             Padr.Csa_state.equal ws.states.(node)
                (Padr.Phase1.state fresh node))
            (List.init (leaves - 1) (fun i -> i + 1))))
 

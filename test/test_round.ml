@@ -89,27 +89,63 @@ let test_sd_full_load () =
 let test_sweep_marks_leaves () =
   let t = topo 8 in
   let s = set ~n:8 [ (0, 7); (1, 2); (3, 4) ] in
-  let p1 = Padr.Phase1.run t s in
-  let out = Padr.Round.sweep t p1.states in
+  Padr.Round.with_workspace t @@ fun ws ->
+  check_int "three matches to schedule" 3 (Padr.Round.prepare ws t s);
+  let out = Padr.Round.sweep t ws in
   check_int "one comm scheduled" 1 out.matched_count;
   check_true "round 1 is the outermost" (out.sources = [ 0 ] && out.dests = [ 7 ]);
-  let out2 = Padr.Round.sweep t p1.states in
+  let out2 = Padr.Round.sweep t ws in
   check_int "round 2 schedules the rest" 2 out2.matched_count;
   check_true "round 2 leaves" (out2.sources = [ 1; 3 ] && out2.dests = [ 2; 4 ]);
-  let out3 = Padr.Round.sweep t p1.states in
+  let out3 = Padr.Round.sweep t ws in
   check_int "round 3 empty" 0 out3.matched_count
 
 let test_sweep_drains_state () =
   let t = topo 16 in
   let s = set ~n:16 [ (0, 15); (1, 6); (2, 3); (4, 5); (8, 13) ] in
-  let p1 = Padr.Phase1.run t s in
+  Padr.Round.with_workspace t @@ fun ws ->
+  ignore (Padr.Round.prepare ws t s);
   let total = ref 0 in
   for _ = 1 to Cst_comm.Width.width ~leaves:16 s do
-    total := !total + (Padr.Round.sweep t p1.states).matched_count
+    total := !total + (Padr.Round.sweep t ws).matched_count
   done;
   check_int "all scheduled" 5 !total;
   for node = 1 to 15 do
-    check_true "drained" (Padr.Csa_state.is_drained (Padr.Phase1.state p1 node))
+    check_true "drained" (Padr.Csa_state.is_drained ws.states.(node));
+    check_int "nothing pending" 0 ws.pending.(node)
+  done
+
+(* Round by round, the pruned sweep schedules what the unpruned
+   reference does, wants the same connections of every switch, and
+   lists the switches it configured in ascending node order. *)
+let test_sweep_matches_reference () =
+  let t = topo 64 in
+  let s =
+    Cst_workloads.Gen_wn.uniform (Cst_util.Prng.create 5) ~n:64 ~density:0.9
+  in
+  let states = (Padr.Phase1.run t s).states in
+  Padr.Round.with_workspace t @@ fun ws ->
+  let remaining = ref (Padr.Round.prepare ws t s) in
+  check_true "a multi-round set" (!remaining > 8);
+  while !remaining > 0 do
+    let expected = Reference.sweep t states in
+    let out = Padr.Round.sweep t ws in
+    check_int "matched" expected.matched_count out.matched_count;
+    check_true "sources" (expected.sources = out.sources);
+    check_true "dests" (expected.dests = out.dests);
+    for node = 1 to 63 do
+      check_true "want"
+        (Cst.Switch_config.equal expected.wants.(node) ws.wants.(node))
+    done;
+    let configured = ref [] in
+    Padr.Round.iter_configured ws (fun node want ->
+        configured := (node, want) :: !configured);
+    check_true "configured switches, ascending"
+      (List.rev !configured
+      = List.filter
+          (fun (_, want) -> not (Cst.Switch_config.is_empty want))
+          (List.init 63 (fun i -> (i + 1, expected.wants.(i + 1)))));
+    remaining := !remaining - out.matched_count
   done
 
 let test_downmsg_shapes () =
@@ -132,5 +168,6 @@ let suite =
     case "[s,d] full load" test_sd_full_load;
     case "sweep marks leaves" test_sweep_marks_leaves;
     case "sweep drains state" test_sweep_drains_state;
+    case "sweep matches the reference" test_sweep_matches_reference;
     case "downmsg shapes" test_downmsg_shapes;
   ]
