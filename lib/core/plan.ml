@@ -12,8 +12,12 @@ type t = {
   log : Cst.Exec_log.t;
 }
 
-let of_log ~producer ~topo ~set ~rounds ~cycles ?(control_messages = 0) log =
-  let placed = Cst.Canon.place set in
+let placement ?placed set =
+  match placed with Some p -> p | None -> Cst.Canon.place set
+
+let of_log ~producer ~topo ~set ?placed ~rounds ~cycles ?(control_messages = 0)
+    log =
+  let placed = placement ?placed set in
   {
     producer;
     shape = Cst.Topology.shape topo;
@@ -53,9 +57,9 @@ type replayed = {
 
 (* Every check a replay makes lives here, so [relocate] and [replay]
    accept and reject exactly the same inputs. *)
-let relocate t topo set =
+let relocate ?placed t topo set =
   let leaves = Cst.Topology.leaves topo in
-  let placed = Cst.Canon.place set in
+  let placed = placement ?placed set in
   if not (Cst.Canon.equal placed.canon t.canon) then
     invalid_arg "Padr.Plan.replay: set does not match the plan's signature";
   if Cst_comm.Comm_set.n set > leaves then
@@ -82,8 +86,8 @@ let relocate t topo set =
       ~dst_leaves:leaves ~dst_base:placed.base
       ~align:(Cst.Canon.align t.canon)
 
-let replay t topo set =
-  let log = relocate t topo set in
+let replay ?placed t topo set =
+  let log = relocate ?placed t topo set in
   (* At the compiled size the frozen costs stand; on another tree size
      the producer's closed-form model (Theorem 5) recomputes them. *)
   let cycles, control_messages =

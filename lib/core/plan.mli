@@ -34,6 +34,7 @@ val of_log :
   producer:producer ->
   topo:Cst.Topology.t ->
   set:Cst_comm.Comm_set.t ->
+  ?placed:Cst.Canon.placed ->
   rounds:int ->
   cycles:int ->
   ?control_messages:int ->
@@ -42,7 +43,9 @@ val of_log :
 (** Freezes an already-performed run whose events are exactly the
     contents of the given log (the service's cache-miss path: the run
     it just executed becomes the plan, with no second scheduling).  The
-    log is copied into a private arena. *)
+    log is copied into a private arena.  [placed] must be
+    [Cst.Canon.place set], which a caller that already built it (to
+    key a cache lookup) passes instead of having it recomputed. *)
 
 val compile :
   ?producer:producer ->
@@ -52,7 +55,12 @@ val compile :
 (** Schedules the set ([producer] defaults to [Engine], wrapping
     {!Engine.run}; [Spec] wraps {!Csa.run}) and freezes the run. *)
 
-val relocate : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> Cst.Exec_log.t
+val relocate :
+  ?placed:Cst.Canon.placed ->
+  t ->
+  Cst.Topology.t ->
+  Cst_comm.Comm_set.t ->
+  Cst.Exec_log.t
 (** The plan's log relocated onto [set]'s placement in [topo] —
     digest-identical to a fresh run on the target set — without deriving
     a schedule.  O(events) through {!Cst.Exec_log.rebase}; nothing
@@ -67,7 +75,8 @@ val relocate : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> Cst.Exec_log.t
     set at the {e identical} placement — translation is not a
     congruence once subtrees at one depth stop being isomorphic and
     capacities are positional — and raise [Invalid_argument]
-    otherwise. *)
+    otherwise.  [placed], as in {!of_log}, is [Cst.Canon.place set]
+    when the caller has it; every check above is made on it. *)
 
 type replayed = {
   schedule : Schedule.t;
@@ -76,7 +85,12 @@ type replayed = {
   control_messages : int;  (** re-modeled for the target tree size *)
 }
 
-val replay : t -> Cst.Topology.t -> Cst_comm.Comm_set.t -> replayed
+val replay :
+  ?placed:Cst.Canon.placed ->
+  t ->
+  Cst.Topology.t ->
+  Cst_comm.Comm_set.t ->
+  replayed
 (** {!relocate}, then the schedule of [set] on [topo] derived from the
     relocated log ({!Schedule.of_log}) and the cycle and control-message
     counts re-modeled for the target tree size — no scheduling.
