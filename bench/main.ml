@@ -436,13 +436,16 @@ let e11 () =
     "the busiest directed link is used in every round (max link use = \
      width): CSA schedules leave no slack on the bottleneck@."
 
-(* F2 — scaling figure: wall-clock time of a full schedule. *)
+(* F2 — scaling figure: wall-clock time of a full schedule, by the
+   functional spec and by the message-passing engine on the same sets. *)
 let f2 () =
   section "F2 - figure: scheduling time vs tree size (dense traffic)";
-  let time_once f =
+  let mean_time ~reps f =
     let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
+    for _ = 1 to reps do
+      f ()
+    done;
+    (Sys.time () -. t0) /. float_of_int reps
   in
   let points =
     List.map
@@ -451,33 +454,42 @@ let f2 () =
         let set = Cst_workloads.Gen_wn.uniform rng ~n ~density:1.0 in
         let topo = Cst.Topology.create ~leaves:n in
         let reps = if n <= 1024 then 5 else 2 in
-        let dt =
-          time_once (fun () ->
-              for _ = 1 to reps do
-                ignore (Padr.Csa.run_exn topo set)
-              done)
-          /. float_of_int reps
+        let spec =
+          mean_time ~reps (fun () -> ignore (Padr.Csa.run_exn topo set))
         in
-        (n, dt))
+        let engine =
+          mean_time ~reps (fun () -> ignore (Padr.Engine.run_exn topo set))
+        in
+        (n, spec, engine))
       [ 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
   in
   let table =
     Cst_report.Table.create ~title:"full CSA schedule, mean wall-clock"
-      ~columns:[ "PEs"; "ms" ]
+      ~columns:[ "PEs"; "spec ms"; "engine ms"; "spec/engine" ]
   in
   List.iter
-    (fun (n, dt) ->
+    (fun (n, spec, engine) ->
       Cst_report.Table.add_row table
-        [ string_of_int n; Cst_report.Table.cell_float (dt *. 1000.0) ])
+        [
+          string_of_int n;
+          Cst_report.Table.cell_float (spec *. 1000.0);
+          Cst_report.Table.cell_float (engine *. 1000.0);
+          Cst_report.Table.cell_float (spec /. engine);
+        ])
     points;
   Cst_report.Table.print table;
+  let series label time =
+    {
+      Cst_report.Ascii_plot.label;
+      points =
+        List.map (fun ((n, _, _) as p) -> (float_of_int n, time p)) points;
+    }
+  in
   Cst_report.Ascii_plot.print ~title:"schedule time vs PEs" ~x_label:"PEs"
     ~y_label:"seconds"
     [
-      {
-        Cst_report.Ascii_plot.label = "csa";
-        points = List.map (fun (n, dt) -> (float_of_int n, dt)) points;
-      };
+      series "csa" (fun (_, spec, _) -> spec);
+      series "engine" (fun (_, _, engine) -> engine);
     ]
 
 (* Bechamel micro-benchmarks. *)
