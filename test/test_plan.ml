@@ -406,7 +406,8 @@ let test_replay_rejects_mismatch () =
 
 (* [relocate] is [replay] without the schedule: on the compiled
    placement, under aligned translation and across tree sizes, its log
-   is the replay's log word for word (the codec writes the raw words). *)
+   is the replay's log word for word (the codec writes the raw words),
+   and so is the log of either when handed the set's placement. *)
 let test_relocate_matches_replay () =
   let words log = Cst.Exec_log.Codec.encode log in
   let topo64 = Cst.Topology.create ~leaves:64 in
@@ -425,10 +426,18 @@ let test_relocate_matches_replay () =
               let t = embed ~n ~by s in
               let relocated = Padr.Plan.relocate plan topo t in
               let replayed = Padr.Plan.replay plan topo t in
-              check_true
-                (Printf.sprintf "relocate = replay log (seed %d, %d+%d)" seed
-                   n by)
-                (Bytes.equal (words relocated) (words replayed.log))
+              let placed = Cst.Canon.place t in
+              List.iter
+                (fun (what, log) ->
+                  check_true
+                    (Printf.sprintf "relocate = %s log (seed %d, %d+%d)" what
+                       seed n by)
+                    (Bytes.equal (words relocated) (words log)))
+                [
+                  ("replay", replayed.log);
+                  ("placed relocate", Padr.Plan.relocate ~placed plan topo t);
+                  ("placed replay", (Padr.Plan.replay ~placed plan topo t).log);
+                ]
             end)
           [
             (topo64, 0);
@@ -442,7 +451,8 @@ let test_relocate_matches_replay () =
     [ Padr.Plan.Spec; Padr.Plan.Engine ]
 
 (* Every input [replay] rejects, [relocate] rejects with the identical
-   [Invalid_argument] — one check, one message. *)
+   [Invalid_argument] — one check, one message — and so does either when
+   handed the set's placement. *)
 let same_rejection what plan topo s =
   let message f =
     match f () with
@@ -450,10 +460,14 @@ let same_rejection what plan topo s =
     | _ -> Alcotest.fail (what ^ ": expected Invalid_argument")
   in
   let by_replay = message (fun () -> ignore (Padr.Plan.replay plan topo s)) in
-  let by_relocate =
-    message (fun () -> ignore (Padr.Plan.relocate plan topo s))
-  in
-  Alcotest.(check string) what by_replay by_relocate
+  let placed = Cst.Canon.place s in
+  List.iter
+    (fun f -> Alcotest.(check string) what by_replay (message f))
+    [
+      (fun () -> ignore (Padr.Plan.relocate plan topo s));
+      (fun () -> ignore (Padr.Plan.relocate ~placed plan topo s));
+      (fun () -> ignore (Padr.Plan.replay ~placed plan topo s));
+    ]
 
 let test_relocate_rejects_like_replay () =
   let topo16 = Cst.Topology.create ~leaves:16 in
