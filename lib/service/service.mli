@@ -202,7 +202,12 @@ val pp_outcome : Format.formatter -> outcome -> unit
     bounded channel is full — backpressure), and completed outcomes are
     either collected by {!drain}, an id-ordered barrier, or {e pushed}
     through the [~on_outcome] callback.  {!shutdown} closes the queue
-    and joins the domains.  The closed-batch {!run} below is a
+    and waits for the workers.  Worker domains outlive their pool: a
+    pool's domains park when it shuts down and the next pool runs on
+    them before it spawns any, so a short-lived pool pays no domain
+    start-up; at most [Domain.recommended_domain_count ()] stay parked,
+    and parked domains do not keep the process from exiting.  The
+    closed-batch {!run} below is a
     thin wrapper (create / submit all / drain / shutdown) kept as the
     convenient one-call form; {!run_job} is the shared per-job dispatch
     both it and the workers go through.  One submitter and one consumer
@@ -216,7 +221,7 @@ type t
 val create :
   ?domains:int -> ?queue_capacity:int -> ?cache:bool -> ?store:Plan_store.t ->
   ?on_outcome:(outcome -> unit) -> unit -> t
-(** Spawns the pool: [domains] worker domains (default
+(** Starts the pool: [domains] worker domains (default
     [Domain.recommended_domain_count ()], min 1), a submission channel
     bounded by [queue_capacity] (default 64), the pool-wide plan cache
     unless [~cache:false] (bounded at {!Plan_cache.create}'s default
@@ -253,7 +258,8 @@ val drain : t -> outcome list
 
 val shutdown : t -> unit
 (** Closes the submission channel, lets workers finish queued jobs and
-    joins them.  Idempotent. *)
+    waits for them; their domains park for the next pool.
+    Idempotent. *)
 
 (** {2 Closed batches} *)
 

@@ -186,6 +186,31 @@ let test_submit_after_shutdown () =
   check_raises_invalid "submit after shutdown" (fun () ->
       Service.submit t (Service.job ~id:0 ~algo:"csa" (set ~n:4 [ (0, 1) ])))
 
+(* Worker domains outlive their pool: a one-domain pool started after
+   another shut down runs its jobs on the domain that pool parked, and a
+   pool over more domains than stay parked still answers every job. *)
+let test_pools_reuse_parked_domains () =
+  let domains_used ~domains =
+    let seen = ref [] and m = Mutex.create () in
+    let record (_ : Service.outcome) =
+      Mutex.lock m;
+      seen := (Domain.self () :> int) :: !seen;
+      Mutex.unlock m
+    in
+    let t = Service.create ~domains ~cache:false ~on_outcome:record () in
+    for i = 0 to 7 do
+      Service.submit t (Service.job ~id:i ~algo:"csa" (set ~n:8 [ (0, 7) ]))
+    done;
+    ignore (Service.drain t);
+    Service.shutdown t;
+    check_int "every job answered" 8 (List.length !seen);
+    List.sort_uniq compare !seen
+  in
+  let first = domains_used ~domains:1 in
+  check_true "the next pool runs on the parked domain"
+    (domains_used ~domains:1 = first);
+  ignore (domains_used ~domains:(Domain.recommended_domain_count () + 2))
+
 (* The message-passing engine realizes the same schedule as the spec
    scheduler: equal digests on well-nested sets. *)
 let test_engine_digest_equals_spec =
@@ -672,4 +697,5 @@ let suite =
     case "4096-PE full onion allocates O(events)" test_full_onion_allocation;
     case "cache-less pool bypasses every engine" test_cacheless_pool_bypasses;
     case "engine crossing job skips the cache" test_engine_crossing_skips_cache;
+    case "pools reuse parked domains" test_pools_reuse_parked_domains;
   ]
